@@ -4,15 +4,15 @@
 EWMA (adjust=False) used by three oracles. The naive closed form
 ``POWER(1-a, k) * SUM(v_i * a / POWER(1-a, i))`` overflows to inf around
 k ~ 3500 at span 10 (ADVICE r2: (1/0.818)^k > DBL_MAX), silently losing
-oracle coverage on long conversations. The fix mirrors the engine's
-chunk renormalization (`state/streaming.py _ewma_scan`): split the index
-into SEG-row segments so every POWER exponent is bounded by SEG, compute
-the closed form within each segment, and chain segments through a carry
+oracle coverage on long conversations. The fix is chunk renormalization:
+split the index into SEG-row segments so every POWER exponent is bounded
+by SEG, compute the closed form within each segment, and chain segments
+through a carry
 
     y_k = C_k + (1-a)^(j+1) * carry(seg),   j = k % SEG
     carry(s) = E_{s-1} + (1-a)^SEG * E_{s-2}  (deeper terms < (1-a)^{2*SEG}
-               ~ 1e-45 relative — below double precision, dropped exactly
-               like contributions 2+ chunks back decay in the engine)
+               ~ 1e-45 relative — below double precision, so dropping
+               them cannot change a double)
 
 Validated against pandas ``ewm(alpha, adjust=False)`` at 5000 turns:
 max abs err 3.6e-15, no inf/NaN.

@@ -25,7 +25,11 @@ import ray.data
 
 from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
 from nfl_feature_store_ray.state.manifest import write_partitioned
-from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
+from nfl_feature_store_ray.state.window_kernel_pl import (
+    empty_carry,
+    feature_columns,
+    kernel_arrow,
+)
 
 
 def ingest_partitioned(
@@ -71,6 +75,30 @@ def sort_partition(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(cols, kind="mergesort").reset_index(drop=True)
 
 
+class _CarryKernel:
+    """map_batches callable class (actor pool): one carry table per actor,
+    the window kernel run on each batch with it.
+
+    Batches MUST be sorted by (conv_id, ts, tie) and delivered in order
+    per conversation (guaranteed when reading the sorted partitioned
+    layout: one partition block per task, batches in block order). A
+    batch that starts before a conversation's carried watermark fails
+    loudly, so a task retried on an actor that already holds part of its
+    block raises rather than corrupt the carry — rerun the job."""
+
+    def __init__(self, metrics: tuple[str, ...], phases: tuple[str, ...]):
+        self.metrics, self.phases = metrics, phases
+        self.cols = feature_columns(metrics, phases)
+        self.carry = empty_carry(metrics, phases)
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        feats, self.carry = kernel_arrow(
+            tbl, metrics=self.metrics, assign_turn_idx=True, sort=False,
+            phases=self.phases, carry=self.carry,
+        )
+        return feats.select(self.cols)
+
+
 def window_features_streaming(
     part_dir: str,
     metrics: tuple[str, ...] = ("value", "text_len", "n_tokens"),
@@ -80,13 +108,13 @@ def window_features_streaming(
 ) -> ray.data.Dataset:
     """Incremental streaming window job over a SORTED partitioned layout.
 
-    Actor pool holding per-conversation carry state + monotonic-ts
-    watermarks (`state.streaming.StreamingWindowActor`); processes each
-    partition block as an ordered sequence of batches in bounded memory —
-    the path for conversations larger than a worker's heap.
+    Actor pool whose actors each hold one per-conversation carry table
+    (tails + registers + monotonic-ts watermarks) and run the window
+    kernel on every batch; processes each partition block as an ordered
+    sequence of batches in bounded memory — the path for conversations
+    larger than a worker's heap.
     """
     from nfl_feature_store_ray.stages.derive import derive_turn_columns
-    from nfl_feature_store_ray.state.streaming import StreamingWindowActor
 
     paths = partition_files(part_dir)
     if not paths:
@@ -96,8 +124,8 @@ def window_features_streaming(
     # autoscaling pool (min 1): a fixed pool sized to every CPU would
     # starve the read stage and deadlock on small clusters
     return ds.map_batches(
-        StreamingWindowActor,
-        batch_format="pandas",
+        _CarryKernel,
+        batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=(1, concurrency),
         fn_constructor_kwargs={"metrics": metrics, "phases": phases},

@@ -88,7 +88,7 @@ FROM t
 def q_rolling_streaming(sf_dir: str):
     """Streaming-engine gate: the SAME feature surface as ``w_rolling``
     (rolling(3) mean + rolling(10) tool-rate, both shifted) but computed
-    by the stateful StreamingWindowActor over the sorted partitioned
+    by the carried window kernel's actor pool over the sorted partitioned
     layout — pinned against the identical DuckDB window-function oracle,
     so batch engine == streaming engine == SQL inside the driver gate.
 
@@ -126,8 +126,8 @@ FROM t
 
 def q_incremental_append(sf_dir: str):
     """INCREMENTAL UPSERT gate: ingest a time-prefix of the transcripts,
-    run the incremental engine (persisted per-conversation streaming
-    state, `state.incremental`), then ingest the FULL data and run it
+    run the incremental engine (persisted per-conversation window-kernel
+    carry, `state.incremental`), then ingest the FULL data and run it
     again — the second pass must process ONLY the appended turns, seeded
     by the checkpointed state. The union of the two phases' outputs is
     gated against the SAME SQL oracle text as ``w_rolling`` /

@@ -3869,7 +3869,7 @@ ORACLES["max_concurrency"] = SQL_MAX_CONCURRENCY
 # Late-arrival audit: per conversation, how many events arrived (by _seq,
 # the physical ingestion order) with a timestamp BEHIND the running
 # event-time maximum, and how far behind at worst — the out-of-orderness
-# profile that sizes streaming watermarks (state/streaming.py's
+# profile that sizes streaming watermarks (the window kernel's carried
 # watermark guard is exactly this bound). Kernel: one vectorized running
 # max over arrival order inside the conversation bucket; lateness in
 # exact integer MICROseconds (epoch-seconds doubles would round
@@ -4404,8 +4404,8 @@ ORACLES["w_forward_sum_30m"] = SQL_FORWARD_SUM_30M
 def q_chained_subrange(sf_dir: str):
     """Window features via the sub-range CHAINED engine (state.skew):
     conversations over 40 rows are split into ordered 32-row
-    sub-ranges, each a bounded Ray task handing the streaming engine's
-    carry state to the next — the execution shape for a conversation
+    sub-ranges, each a bounded Ray task handing the window kernel's
+    carry table to the next — the execution shape for a conversation
     larger than one worker's heap, exercised here at sandbox scale so the
     driver oracle-gates the handoff itself. Output restricts to the
     CENTS-EXACT families (last/avg/session_avg + session ids), which the

@@ -74,8 +74,11 @@ def _events_to_transcript_batch(batch: pa.Table) -> pa.Table:
         pa.scalar("user"),
         pc.if_else(is_assistant, pa.scalar("assistant"), pa.scalar("tool")),
     )
+    # the null side is an ARRAY, not a null scalar: if_else(mask, null
+    # scalar, strings) builds invalid offsets when the strings are a
+    # slice with a non-zero offset (as Ray hands out for multi-file reads)
     tool = pc.if_else(
-        pc.or_(is_user, is_assistant), pa.scalar(None, pa.string()), pc.cast(et, pa.string())
+        pc.or_(is_user, is_assistant), pa.nulls(len(et), pa.string()), pc.cast(et, pa.string())
     )
     return pa.table(
         {

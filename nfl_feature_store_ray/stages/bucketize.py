@@ -7,7 +7,7 @@ window / sessionize / as-of operator rides on it:
        -> groupby("_bucket")
        -> map_groups(sorted bucket fn)  # bucket arrives whole; fn sorts by
                                         # (conv_id, ts, tie) and runs
-                                        # VECTORIZED pandas group kernels
+                                        # VECTORIZED group kernels
 
 Why buckets instead of `groupby(conv_id).map_groups(per_conv_fn)`: at
 10^12 turns there are ~10^9 conversations; per-group Python dispatch would
@@ -20,9 +20,11 @@ conversation), so the worst-case bucket is max(total/B, hottest_conv).
 Hot-key salting therefore operates at the bucket level — raise B — and a
 single pathological conversation is bounded by the reading's
 `target_max_block_size` spill path. A conversation larger than a worker's
-heap runs through `state.streaming.StreamingWindowActor` instead: O(tail +
-registers) carry state per conversation, ordered batches, same features
-(equality pinned at every batch split by tests/test_streaming.py).
+heap runs through the window kernel with a carry instead
+(`pipelines.partitioned.window_features_streaming`,
+`state.skew.window_features_chained`): O(tail + registers) carry state per
+conversation, ordered batches, same features (equality pinned at every
+batch split by tests/test_streaming.py).
 
 Reference analogue: O1 global sort before windowing
 (`/root/reference/src/pumps/player_game.py:551`) — replaced by

@@ -1,7 +1,4 @@
 from nfl_feature_store_ray.state.asof import asof_join
-from nfl_feature_store_ray.state.window_engine import (
-    compute_bucket_windows,
-    window_features,
-)
+from nfl_feature_store_ray.state.window_engine import window_features
 
-__all__ = ["window_features", "compute_bucket_windows", "asof_join"]
+__all__ = ["window_features", "asof_join"]

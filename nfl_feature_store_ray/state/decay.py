@@ -20,7 +20,7 @@ lower-triangular pairwise decay matrix (all exponents <= 0, so the only
 float hazard is harmless underflow-to-zero), and because of the sort at
 most ONE conversation spans any chunk boundary, so cross-chunk state is
 a single (conv, value, t) scalar carry — the same bounded-state shape
-the streaming actor uses.
+as the window kernel's per-conversation carry.
 """
 
 from __future__ import annotations

@@ -17,18 +17,17 @@ Two mechanisms, matched to the two operator shapes:
    no longer straggles every other conversation hashed into its bucket,
    and the scheduler can start its bucket first. A conversation larger
    than one worker's heap chains through ``window_features_chained``
-   below (round 5, closing the r04 verdict's last 100x-scale gap):
-   the hot conversation is split into ORDERED SUB-RANGES of
+   below: the hot conversation is split into ORDERED SUB-RANGES of
    ``sub_range_rows`` rows, each processed by its own bounded Ray task,
-   with the streaming engine's O(tail + registers) carry state handed
-   off between consecutive tasks (``state.streaming``'s per-conversation
-   state is the handoff payload — the same registers that make the
-   streaming actor bit-stable across batch splits make the chain
-   bit-stable across task splits). Sub-ranges of ONE conversation are
-   inherently sequential (windows are prefix-dependent); parallelism
-   comes from other conversations' chains and the normal-path buckets
-   running concurrently, and peak task memory is O(sub_range_rows),
-   never O(conversation).
+   with the window kernel's per-conversation carry table
+   (``window_kernel_pl.kernel_arrow(carry=...)``: tail + O(1) registers)
+   handed off between consecutive tasks — the same kernel and carry the
+   streaming and incremental paths use, so the chain is bit-identical to
+   an unsplit run on every family but the rolling means. Sub-ranges of
+   ONE conversation are inherently sequential (windows are
+   prefix-dependent); parallelism comes from other conversations' chains
+   and the normal-path buckets running concurrently, and peak task memory
+   is O(sub_range_rows), never O(conversation).
 """
 
 from __future__ import annotations
@@ -79,22 +78,6 @@ def detect_heavy_keys(
 # normal-conversation bucket path) stays on the Dataset API, and the
 # chain's outputs re-enter it via ``from_pandas_refs`` + ``union``.
 
-_STREAM_COLS_BASE = [
-    "conv_id", "ts", "turn_idx", "gap_s", "session_id", "session_turn_idx",
-    "n_prior_user", "n_prior_assistant", "n_prior_tool",
-    "turns_since_tool", "secs_since_tool", "roll10_tool_rate",
-]
-
-
-def _stream_cols(metrics: tuple[str, ...], phases: tuple[str, ...]) -> list[str]:
-    cols = list(_STREAM_COLS_BASE)
-    for m in metrics:
-        cols += [f"{p}_{m}" for p in ("last", "form", "avg", "ewma", "session_avg")]
-        for ph in phases:
-            cols += [f"{fam}_{m}_{ph}" for fam in ("last", "form", "avg", "ewma")]
-    return cols
-
-
 @ray.remote
 def _probe_runs(block) -> pd.DataFrame:
     """Per-block contiguous (conv_id, run_length) pairs, in block order.
@@ -114,33 +97,53 @@ def _probe_runs(block) -> pd.DataFrame:
 
 
 @ray.remote(num_returns=2)
-def _chain_step(carried_state, los, his, metrics, session_gap_s, phases, *blocks):
+def _chain_step(carry, los, his, metrics, session_gap_s, phases, tie_col, *blocks):
     """ONE bounded sub-range of one conversation: slice the listed Arrow
-    blocks to [lo, hi), run the streaming kernel seeded with the carried
-    per-conversation state, return (features, carry-out state). State is
-    the streaming engine's O(tail + registers) dataclass — the identical
-    registers that make the actor bit-stable across batch splits, so the
-    chain replays the exact op sequence of an unsplit streaming run with
-    the same batch boundaries."""
+    blocks to [lo, hi), run the window kernel seeded with the carried
+    per-conversation state, return (features, carry-out). Without a tie
+    column, duplicate ts would make the sub-range order (and thus every
+    prefix-dependent feature) vary from run to run, so they are rejected —
+    inside the sub-range and against the carried last ts."""
     import pyarrow as pa
+    import pyarrow.compute as pc
     from ray.data.block import BlockAccessor
 
-    from nfl_feature_store_ray.state.streaming import StreamingWindowActor
+    from nfl_feature_store_ray.state.window_kernel_pl import empty_carry, kernel_arrow
 
-    parts = [
+    tbl = pa.concat_tables([
         BlockAccessor.for_block(b).to_arrow().slice(lo, hi - lo)
         for b, lo, hi in zip(blocks, los, his)
-    ]
-    df = pa.concat_tables(parts).to_pandas()
-    actor = StreamingWindowActor(
-        metrics=metrics, session_gap_s=session_gap_s, phases=phases
+    ])
+    if carry is None:
+        carry = empty_carry(metrics, phases)
+    if tie_col is None:
+        # a chain carries exactly its one conversation: the carry's last ts
+        # (if any) directly precedes the sub-range
+        ts = pa.concat_arrays([
+            carry["last_ts"].combine_chunks().cast(tbl.schema.field("ts").type),
+            tbl["ts"].combine_chunks(),
+        ])
+        if pc.any(pc.equal(ts[1:], ts[:-1])).as_py():
+            raise ValueError(
+                f"duplicate ts in heavy conversation {tbl['conv_id'][0]} with "
+                "tie_col=None: the row order is ambiguous; pass a tie column"
+            )
+    return kernel_arrow(
+        _with_roles(tbl), metrics=metrics, session_gap_s=session_gap_s,
+        assign_turn_idx=True, sort=False, phases=phases, carry=carry,
     )
-    if carried_state:
-        actor.state = carried_state
-    out = actor(df)
-    # hand Arrow back: the union side then carries Arrow blocks only (no
-    # pandas metadata in block schemas, one fewer conversion downstream)
-    return pa.Table.from_pandas(out, preserve_index=False), actor.state
+
+
+def _with_roles(tbl):
+    """Role one-hots only (matching stages.derive dtypes) — the chained
+    surface never reads text, so the batch branch shouldn't require
+    text-derived columns the caller already pruned away."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    for r in ("user", "assistant", "tool"):
+        tbl = tbl.append_column(f"is_{r}", pc.cast(pc.equal(tbl["role"], r), pa.int8()))
+    return tbl
 
 
 def window_features_chained(
@@ -162,49 +165,48 @@ def window_features_chained(
     (``window_engine.window_features``); conversations with more than
     ``min_rows`` rows are pulled out, distributed-sorted by
     (conv_id, ts, tie), cut into ``sub_range_rows``-row sub-ranges, and
-    processed by a per-conversation CHAIN of Ray tasks with streaming
-    carry-state handoff — peak memory per task is O(sub_range_rows)
-    regardless of conversation size. Output schema is the streaming
-    engine's (turn_idx assigned positionally from the sort order), and
-    the precision contract is the streaming engine's: cents-exact
-    families (last/avg/session_avg, sessions, counts, rolling rates)
-    are BIT-IDENTICAL to the batch kernel; form/ewma/gap match within
-    rtol 1e-9 (float summation order).
+    processed by a per-conversation CHAIN of Ray tasks that hand the
+    window kernel's carry table from one task to the next — peak memory
+    per task is O(sub_range_rows) regardless of conversation size. Output
+    columns are ``window_kernel_pl.feature_columns`` (turn_idx assigned
+    positionally from the sort order). Both branches run the same kernel,
+    so the chain is bit-identical to the one-task batch kernel on every
+    family except the rolling means (form_*), which match within
+    rtol 1e-9.
 
     ``metrics`` must be PHYSICAL columns of ``ds`` (the heavy branch
     prunes to conv_id/ts/role/metrics/tie before its sort, so derived
     metrics like text_len must be materialized by the caller first —
     the same contract as the partitioned streaming layout).
 
+    Ordering: with ``tie_col=None`` a heavy conversation's rows must have
+    distinct ts; duplicate ts would make the sub-range order vary from
+    run to run, so the chain raises ``ValueError``. Pass a tie column
+    (e.g. ``turn_idx`` or ``_seq``) when ts can repeat.
+
+    Cost: ``ds``'s lineage runs up to three times — heavy-key detection
+    (skipped when ``heavy_keys`` is given), then the normal and the heavy
+    filters. Pass a materialized ``ds`` or a precomputed ``heavy_keys``
+    when the input is expensive to produce.
+
     Partitioning assumption (documented per the custom-operator rule):
     the input's (conv_id, ts, tie) sort delivers each conversation's
     rows exactly once, in order — the same contract the partitioned
     streaming layout guarantees at ingest.
     """
+    from nfl_feature_store_ray.state.window_kernel_pl import feature_columns
+
     if heavy_keys is None:
         heavy_keys = detect_heavy_keys(ds, key="conv_id", min_rows=min_rows,
                                        top=top)
 
-    out_cols = _stream_cols(metrics, phases)
-
-    def _light_derive(tbl):
-        """Role one-hots only (matching stages.derive dtypes) — the
-        chained surface never reads text, so the batch branch shouldn't
-        require text-derived columns the caller already pruned away."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        for r in ("user", "assistant", "tool"):
-            tbl = tbl.append_column(
-                f"is_{r}", pc.cast(pc.equal(tbl["role"], r), pa.int8())
-            )
-        return tbl
+    out_cols = feature_columns(metrics, phases)
 
     def _select(tbl):
         """Zero-copy Arrow projection + one string-repr normalization so
         BOTH branches reach the union with an identical schema (the
-        polars batch spine emits large_string conv_ids, the chain's
-        pandas frames plain string)."""
+        input's plain-string conv_ids pass through the chain, the polars
+        batch spine emits large_string)."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
@@ -219,7 +221,7 @@ def window_features_chained(
         feats = window_features(
             ds, metrics=metrics, session_gap_s=session_gap_s,
             num_buckets=num_buckets, assign_turn_idx=True, phases=phases,
-            derive=False, pre_kernel=_light_derive,
+            derive=False, pre_kernel=_with_roles,
         )
         return feats.map_batches(_select, batch_format="pyarrow",
                                  zero_copy_batch=True)
@@ -248,7 +250,7 @@ def window_features_chained(
                        zero_copy_batch=True),
         metrics=metrics, session_gap_s=session_gap_s,
         num_buckets=num_buckets, assign_turn_idx=True, phases=phases,
-        derive=False, pre_kernel=_light_derive,
+        derive=False, pre_kernel=_with_roles,
     ).map_batches(_select, batch_format="pyarrow", zero_copy_batch=True)
 
     # --- heavy path: prune -> distributed sort -> ordered block refs ----
@@ -298,11 +300,11 @@ def window_features_chained(
 
     out_refs = []
     for _, g0, g1 in conv_ranges:
-        state = None
+        carry = None
         for a in range(g0, g1, sub_range_rows):
             refs, los, his = _pieces(a, min(a + sub_range_rows, g1))
-            out_ref, state = _chain_step.remote(
-                state, los, his, metrics, session_gap_s, phases, *refs
+            out_ref, carry = _chain_step.remote(
+                carry, los, his, metrics, session_gap_s, phases, tie_col, *refs
             )
             out_refs.append(out_ref)
 

@@ -1,289 +1,20 @@
-"""The window engine — per-conversation point-in-time features.
+"""The distributed window engine — per-conversation point-in-time features.
 
-Implements the reference's window-family semantics (SURVEY §2.6, verified
-empirically, probes 1-5) transplanted to the transcript domain (§7.0):
-
-  W1 ``last_X``        lag-1 over the entity's ordered turns
-                       (ref probe 1: raw value at game k-1, cross-season)
-  W2 ``form_X``        rolling-FORM_WINDOW mean, min_periods=1, shifted 1
-                       (ref probe 2: rolling 3, NOT the dictionary's 5)
-  W3 ``session_avg_X`` per-session expanding mean SEEDED with the entity's
-                       final raw value of the prior session, shifted 1;
-                       session-start row carries the prior session's final
-                       expanding value; first session unseeded, first-ever
-                       row null (ref probe 3, season carryover chain)
-  W5 ``ewma_X``        recursive EWMA alpha=2/(span+1), adjust=False,
-                       shifted 1 (ref probe 5: ewm(span=10, adjust=False))
-  W6 ``roll10_tool_rate`` rolling-COVER_WINDOW mean of a 0/1 indicator,
-                       shifted 1 (ref probe 6: rolling_spread_cover)
-  W7 ``gap_s``         seconds since previous turn (ref `rest`)
-  plus ``avg_X``       whole-conversation expanding mean shifted 1
-                       (cross-epoch variant of W3, unseeded)
-  and sessionization   inactivity-gap epoch splits (gap > SESSION_GAP_S)
-
-"Shifted" always means: the feature row at turn k sees ONLY turns with
-(ts, tie) strictly earlier — the zero-temporal-leakage contract
-(BASELINE.json north_rule), enforced by tests/test_leakage.py.
-
-Null contract (round 5): metric NULLs get SQL aggregate semantics — every
-window family computes over the NON-NULL values in its frame (AVG/SUM
-skip, COUNT counts non-null, EWMA runs over the non-null subsequence =
-pandas ignore_na=True, session seeds take the last non-null raw value)
-and yields NULL when the frame holds no non-null value. ``last_X`` stays
-raw LAG (a NULL previous value is NULL). An all-null metric therefore
-still yields all-null features (tests/test_edge_cases.py), and
-``stages.fill.fill_zero_except`` remains available for reference-M11
-fill-before-window pipelines.
-
-Execution shape: one hash-bucket shuffle (stages.bucketize), then ONE
-vectorized pandas scan per bucket computing every family. Rolling sums use
-the cumsum-difference trick (two group-shifts per window) instead of
-``groupby(...).rolling`` so the per-bucket kernel stays O(rows) columnar.
+One hash-bucket shuffle on ``conv_id`` (stages.bucketize), then the window
+kernel (``state.window_kernel_pl.kernel_arrow``, which documents every
+window family and the null and leakage contracts) over each bucket of
+whole conversations, Arrow in and Arrow out.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import ray.data
 
 from nfl_feature_store_ray.schemas import (
-    COVER_WINDOW,
     DEFAULT_NUM_BUCKETS,
     DEFAULT_WINDOW_METRICS,
-    EWMA_SPAN,
-    FORM_WINDOW,
-    QUANT_SCALE,
     SESSION_GAP_S,
 )
-from nfl_feature_store_ray.stages.bucketize import map_conv_buckets
-
-
-
-def compute_bucket_windows(
-    df: pd.DataFrame,
-    metrics: tuple[str, ...] = DEFAULT_WINDOW_METRICS,
-    session_gap_s: int = SESSION_GAP_S,
-    assign_turn_idx: bool = False,
-    form_window: int = FORM_WINDOW,
-    cover_window: int = COVER_WINDOW,
-    ewma_span: int = EWMA_SPAN,
-    phases: tuple[str, ...] = (),
-) -> pd.DataFrame:
-    """Vectorized window kernel over ONE sorted bucket of whole conversations.
-
-    ``df`` must be sorted by (conv_id, ts, tie). Pure function — also serves
-    as the single-process oracle the distributed path is tested against.
-    """
-    df = df.reset_index(drop=True)
-    conv = df["conv_id"]
-    g = df.groupby(conv, sort=False)
-    cumcount = g.cumcount()
-
-    # generator/engine invariant (FIXTURES.md F1): (conv_id, turn_idx)
-    # must be unique — duplicates mean a corrupt or double-ingested input
-    if "turn_idx" in df.columns and not assign_turn_idx:
-        dup = df.duplicated(["conv_id", "turn_idx"])
-        if dup.any():
-            bad = df.loc[dup, ["conv_id", "turn_idx"]].head(3).to_dict("records")
-            raise ValueError(f"duplicate (conv_id, turn_idx) rows in input, e.g. {bad}")
-
-    if assign_turn_idx:
-        df["turn_idx"] = cumcount.astype("int32")
-
-    # --- W7 gap + sessionization ------------------------------------------
-    prev_ts = g["ts"].shift()
-    gap = (df["ts"] - prev_ts).dt.total_seconds()
-    df["gap_s"] = gap.astype("float64")
-    new_sess = (gap > session_gap_s).fillna(False)
-    df["session_id"] = new_sess.groupby(conv, sort=False).cumsum().astype("int32")
-    df["session_turn_idx"] = (
-        df.groupby([conv, df["session_id"]], sort=False).cumcount().astype("int32")
-    )
-
-    # --- per-role strictly-prior counts -----------------------------------
-    for r in ("user", "assistant", "tool"):
-        onehot = df[f"is_{r}"].astype("int64")
-        df[f"n_prior_{r}"] = onehot.groupby(conv, sort=False).cumsum() - onehot
-
-    # --- tool-usage lag features ------------------------------------------
-    is_tool = df["is_tool"].astype(bool)
-    tool_idx = cumcount.astype("float64").where(is_tool)
-    prev_tool_idx = tool_idx.groupby(conv, sort=False).shift().groupby(conv, sort=False).ffill()
-    df["turns_since_tool"] = cumcount.astype("float64") - prev_tool_idx
-    tool_ts = df["ts"].where(is_tool)
-    prev_tool_ts = tool_ts.groupby(conv, sort=False).shift().groupby(conv, sort=False).ffill()
-    df["secs_since_tool"] = (df["ts"] - prev_tool_ts).dt.total_seconds().astype("float64")
-
-    # --- rolling indicator rate (W6) --------------------------------------
-    df["roll10_tool_rate"] = _rolling_mean_shifted(
-        df["is_tool"].astype("float64"),
-        pd.Series(1.0, index=df.index),  # indicator is never NULL
-        conv, cover_window,
-    )
-
-    # --- metric window families -------------------------------------------
-    # NULL-value semantics (round 5): every family skips NULLs the way the
-    # SQL aggregates do — AVG/SUM over the window's NON-NULL values (NULL
-    # when none), EWMA over the non-null subsequence (pandas
-    # ignore_na=True == the oracle's filtered closed form), seeds/finals
-    # from the last NON-NULL value. Sums run on ZERO-FILLED exact cents
-    # plus a separate non-null counter, so a NaN can never poison a cumsum
-    # (the int64-wrap hazard class from PARITY.md round 4).
-    for m in metrics:
-        x = df[m].astype("float64")
-        xg = x.groupby(conv, sort=False)
-        df[f"last_{m}"] = xg.shift()
-        nn = x.notna()
-        nnf = nn.astype("float64")
-        df[f"form_{m}"] = _rolling_mean_shifted(x.fillna(0.0), nnf, conv, form_window)
-        # expanding means sum exact scaled integers (schemas.QUANT_SCALE):
-        # integer addition in float64 is exact below 2^53, so the sum is
-        # order-independent — bit-identical across partitionings and vs SQL
-        # engines, which float cumsum vs segment-tree summation is not.
-        xc = pd.Series(
-            np.where(nn.to_numpy(), np.rint(x.to_numpy() * QUANT_SCALE), 0.0),
-            index=df.index,
-        )
-        ccs = xc.groupby(conv, sort=False).cumsum()
-        cntp = nnf.groupby(conv, sort=False).cumsum() - nnf
-        df[f"avg_{m}"] = ((ccs - xc) / (QUANT_SCALE * cntp)).where(cntp > 0)
-        ew = xg.ewm(span=ewma_span, adjust=False, ignore_na=True).mean()
-        df[f"ewma_{m}"] = pd.Series(ew.to_numpy(), index=df.index).groupby(
-            conv, sort=False
-        ).shift()
-        df[f"session_avg_{m}"] = _session_seeded_expanding(df, conv, xc, nnf, x, m)
-
-    # --- per-phase (role-split) window families ---------------------------
-    # Reference fold semantics (event_feature_store.md:12-18, SURVEY §1.1):
-    # every metric is windowed over each phase's OWN subsequence, evaluated
-    # point-in-time at EVERY turn.  Shape: inclusive per-(conv, role)
-    # aggregates at the phase's rows, then shift(1)+ffill within the
-    # conversation — each row sees the aggregate at the last strictly-prior
-    # phase row (the prev_tool_idx propagation pattern above).
-    if phases:
-        role = df["role"]
-        grp = [conv, role]
-        for m in metrics:
-            x = df[m].astype("float64")
-            nn = x.notna()
-            nnf = nn.astype("float64")
-            # inclusive NON-NULL count / zero-filled cents (NULL-skip, same
-            # convention as the base families above)
-            icnt = nnf.groupby(grp, sort=False).cumsum()
-            xc = pd.Series(
-                np.where(nn.to_numpy(), np.rint(x.to_numpy() * QUANT_SCALE), 0.0),
-                index=df.index,
-            )
-            ccs = xc.groupby(grp, sort=False).cumsum()
-            iavg = (ccs / (QUANT_SCALE * icnt)).where(icnt > 0)
-            cs = x.fillna(0.0).groupby(grp, sort=False).cumsum()
-            lo = cs.groupby(grp, sort=False).shift(form_window).fillna(0.0)
-            nlo = icnt.groupby(grp, sort=False).shift(form_window).fillna(0.0)
-            nwin = icnt - nlo
-            iform = ((cs - lo) / nwin).where(nwin > 0)
-            # groupby(two keys).ewm returns group-ordered rows ((conv, role)
-            # groups are NOT contiguous) — realign on the original index
-            iewma = x.groupby(grp, sort=False).ewm(
-                span=ewma_span, adjust=False, ignore_na=True
-            ).mean()
-            iewma.index = iewma.index.droplevel([0, 1])
-            iewma = iewma.reindex(df.index)
-            for p in phases:
-                sel = role.eq(p)
-                for fam, series in (
-                    ("last", x), ("form", iform), ("avg", iavg), ("ewma", iewma)
-                ):
-                    tmp = series.where(sel)
-                    df[f"{fam}_{m}_{p}"] = (
-                        tmp.groupby(conv, sort=False)
-                        .shift(1)
-                        .groupby(conv, sort=False)
-                        .ffill()
-                    )
-
-    return df
-
-
-def _rolling_mean_shifted(
-    x0: pd.Series, nnf: pd.Series, conv: pd.Series, window: int
-) -> pd.Series:
-    """mean of the NON-NULL values among up to ``window`` strictly-prior
-    rows per conversation (``x0`` zero-filled, ``nnf`` the 0/1 non-null
-    indicator). Equals SQL ``AVG(x) OVER (PARTITION BY conv ORDER BY ts,
-    tie ROWS BETWEEN {window} PRECEDING AND 1 PRECEDING)`` — NULL when the
-    window holds no non-null value.
-    """
-    cs = x0.groupby(conv, sort=False).cumsum()
-    csg = cs.groupby(conv, sort=False)
-    # rows with fewer than `window` prior values: lo falls off group start -> 0
-    s = csg.shift(1) - csg.shift(1 + window).fillna(0.0)
-    ncs = nnf.groupby(conv, sort=False).cumsum()
-    ng = ncs.groupby(conv, sort=False)
-    n = ng.shift(1) - ng.shift(1 + window).fillna(0.0)
-    return (s / n).where(n > 0)
-
-
-def _session_seeded_expanding(
-    df: pd.DataFrame, conv: pd.Series, xc: pd.Series, nnf: pd.Series,
-    x: pd.Series, m: str
-) -> pd.Series:
-    """W3: per-session expanding mean with prior-session seed (ref probe 3).
-
-    Session s > 0:
-      row 0      -> prior session's FINAL expanding value (carryover chain)
-      row k > 0  -> (seed_s + sum(x[0..k-1])) / (1 + k),
-                    seed_s = last raw value of session s-1
-    Session 0 (unseeded): row 0 -> NaN, row k -> mean(x[0..k-1]).
-
-    ``xc`` is the metric pre-scaled to exact integers (x * QUANT_SCALE,
-    rinted, ZERO-FILLED at NULLs) with ``nnf`` the 0/1 non-null indicator
-    so every sum here is order-independent and NULL-skipping; divisions
-    re-apply the scale, producing the same doubles as a cents-exact SQL
-    oracle. NULL semantics: sums/counts skip NULLs, the seed is the prior
-    session's last NON-NULL raw value (NULL if that session had none — no
-    deeper fallback), an all-NULL-so-far prefix yields NULL.
-    """
-    sess = df["session_id"]
-    gcs = xc.groupby([conv, sess], sort=False)
-    cs_in = gcs.cumsum() - xc  # sum of strictly-prior non-null values
-    cnt_in = nnf.groupby([conv, sess], sort=False).cumsum() - nnf
-
-    xcn = xc.where(nnf > 0)  # NaN at NULLs: agg sum/count/"last" skip them
-    agg = (
-        pd.DataFrame({"conv_id": conv, "session_id": sess, "x": xcn})
-        .groupby(["conv_id", "session_id"], sort=False)["x"]
-        .agg(total="sum", n="count", last="last")
-        .reset_index()
-    )
-    ag = agg.groupby("conv_id", sort=False)
-    agg["seed"] = ag["last"].shift()
-    # final expanding value of each session (used as next session's row-0 value)
-    agg["final_exp"] = np.where(
-        agg["session_id"] == 0,
-        agg["total"] / (QUANT_SCALE * agg["n"]),
-        (agg["seed"] + agg["total"]) / (QUANT_SCALE * (1.0 + agg["n"])),
-    )
-    agg["prev_final"] = agg.groupby("conv_id", sort=False)["final_exp"].shift()
-
-    keyed = df[["conv_id", "session_id"]].merge(
-        agg[["conv_id", "session_id", "seed", "prev_final"]],
-        on=["conv_id", "session_id"],
-        how="left",
-        sort=False,
-    )
-    seed = keyed["seed"].to_numpy()
-    prev_final = keyed["prev_final"].to_numpy()
-    cnt = cnt_in.to_numpy()
-    cs = cs_in.to_numpy()
-    sess0 = sess.to_numpy() == 0
-
-    out = np.where(
-        sess0,
-        np.where(cnt > 0, cs / (QUANT_SCALE * np.where(cnt > 0, cnt, 1.0)), np.nan),
-        np.where(cnt > 0, (seed + cs) / (QUANT_SCALE * (1.0 + cnt)), prev_final),
-    )
-    return pd.Series(out, index=df.index)
 
 
 def window_features(
@@ -318,8 +49,7 @@ def window_features(
     # Arrow spine: bucket column added on pandas batches (cheap), but the
     # shuffled groups flow into the kernel as zero-copy Arrow tables ->
     # polars, skipping the pandas block materialization (~20% faster than
-    # the pandas spine at sf0.1; the pandas kernel below remains the
-    # readable reference implementation, kept in parity by tests).
+    # the pandas spine at sf0.1).
     import pyarrow as pa
 
     from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, with_bucket

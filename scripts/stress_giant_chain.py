@@ -2,34 +2,39 @@
 
 Plants TWO multi-million-turn conversations (plus small ones), runs
 `state.skew.window_features_chained` so each giant conversation flows
-through a CHAIN of bounded sub-range tasks with streaming-state handoff,
-and verifies the full 8M+-row output against
-  (a) the one-task batch kernel path — bit-identical on the cents-exact
-      families, rtol 1e-9 on the float-order families (the documented
-      streaming precision contract), and
-  (b) a single in-process streaming actor fed the same splits — BITWISE
-      on every column (proves the cross-task handoff is lossless).
+through a CHAIN of bounded sub-range tasks that hand the window kernel's
+carry table to the next, and verifies the full 8M+-row output against
+  (a) the one-task batch kernel path — bit-identical on every family but
+      the rolling means and float gaps (rtol 1e-9), and
+  (b) a single in-process kernel run fed the same splits with one carry —
+      BITWISE on every column (proves the cross-task handoff is lossless).
 
 Usage: python scripts/stress_giant_chain.py [n_turns_per_giant]
 Prints one JSON line for BASELINE.md.
 """
 import json
+import os
 import sys
 import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data as rd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from nfl_feature_store_ray.state.skew import (  # noqa: E402
-    _stream_cols,
+    _with_roles,
     window_features_chained,
 )
-from nfl_feature_store_ray.state.streaming import StreamingWindowActor  # noqa: E402
 from nfl_feature_store_ray.state.window_engine import window_features  # noqa: E402
+from nfl_feature_store_ray.state.window_kernel_pl import (  # noqa: E402
+    empty_carry,
+    feature_columns,
+    kernel_arrow,
+)
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 4_000_000
 R = 262_144  # sub-range rows per chain task
@@ -37,9 +42,9 @@ EXACT = [
     "conv_id", "ts", "turn_idx", "session_id", "session_turn_idx",
     "n_prior_user", "n_prior_assistant", "n_prior_tool",
     "turns_since_tool", "roll10_tool_rate",
-    "last_value", "avg_value", "session_avg_value",
+    "last_value", "avg_value", "session_avg_value", "ewma_value",
 ]
-ALLCLOSE = ["gap_s", "secs_since_tool", "form_value", "ewma_value"]
+ALLCLOSE = ["gap_s", "secs_since_tool", "form_value"]
 
 
 def build(n_giant: int) -> pd.DataFrame:
@@ -76,7 +81,7 @@ def build(n_giant: int) -> pd.DataFrame:
 
 
 def main():
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
+    ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
 
@@ -85,7 +90,7 @@ def main():
     df = build(N)
     total = len(df)
     heavy = {"giant_0": 0, "giant_1": 1}
-    cols = _stream_cols(("value",), ())
+    cols = feature_columns(("value",), ())
 
     t0 = time.perf_counter()
     chained = window_features_chained(
@@ -117,16 +122,20 @@ def main():
             chained[c].astype(float), base[c].astype(float),
             rtol=1e-9, atol=0, equal_nan=True, err_msg=c)
 
-    # (b) one in-process actor, same splits -> bitwise on every column
+    # (b) one in-process carried kernel run, same splits -> bitwise on
+    # every column
     hdf = df[df.conv_id.isin(heavy)].sort_values(
         ["conv_id", "ts", "turn_idx"], kind="mergesort").reset_index(drop=True)
-    actor = StreamingWindowActor(metrics=("value",))
-    outs = []
+    hdf = hdf[["conv_id", "ts", "role", "value", "turn_idx"]]
+    carry, outs = empty_carry(("value",)), []
     t0 = time.perf_counter()
     for _, g in hdf.groupby("conv_id", sort=True):
         g = g.reset_index(drop=True)
         for a in range(0, len(g), R):
-            outs.append(actor(g.iloc[a:a + R]))
+            out, carry = kernel_arrow(
+                _with_roles(pa.Table.from_pandas(g.iloc[a:a + R], preserve_index=False)),
+                metrics=("value",), assign_turn_idx=True, sort=False, carry=carry)
+            outs.append(out.select(cols).to_pandas())
     t_one = time.perf_counter() - t0
     one = pd.concat(outs, ignore_index=True).sort_values(
         ["conv_id", "turn_idx"], kind="mergesort").reset_index(drop=True)
@@ -145,9 +154,9 @@ def main():
         "rows": total, "giant_turns": N, "sub_range_rows": R,
         "chain_tasks_per_giant": -(-N // R),
         "chained_sec": round(t_chain, 2), "batch_sec": round(t_batch, 2),
-        "one_actor_sec": round(t_one, 2),
+        "one_run_sec": round(t_one, 2),
         "exact_cols": len(EXACT), "allclose_cols": len(ALLCLOSE),
-        "bitwise_vs_one_actor_cols": bitwise,
+        "bitwise_vs_one_run_cols": bitwise,
     }))
     ray.shutdown()
 

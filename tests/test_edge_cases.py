@@ -86,8 +86,7 @@ def test_all_null_metric_yields_all_null_windows():
     BEFORE windowing — the engine's documented contract (M11)."""
     import pandas as pd
 
-    from nfl_feature_store_ray.state.window_engine import compute_bucket_windows
-    from nfl_feature_store_ray.state.window_kernel_pl import compute_bucket_windows_pl
+    from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
     base = pd.Timestamp("2024-01-01")
     df = pd.DataFrame(
@@ -104,13 +103,12 @@ def test_all_null_metric_yields_all_null_windows():
         df[f"is_{r}"] = (df["role"] == r).astype("int8")
     df = df.sort_values(["conv_id", "ts", "turn_idx"]).reset_index(drop=True)
 
-    for kernel in (compute_bucket_windows, compute_bucket_windows_pl):
-        out = kernel(df.copy(), metrics=("m",))
-        a = out[out.conv_id == "a"]
-        for c in ("last_m", "form_m", "avg_m", "ewma_m", "session_avg_m"):
-            assert a[c].isna().all(), (kernel.__name__, c)
-        b = out[out.conv_id == "b"].reset_index(drop=True)
-        np.testing.assert_allclose(b["avg_m"].to_numpy(), [np.nan, 1.0, 1.5], equal_nan=True)
+    out = kernel_arrow(pa.Table.from_pandas(df, preserve_index=False), metrics=("m",)).to_pandas()
+    a = out[out.conv_id == "a"]
+    for c in ("last_m", "form_m", "avg_m", "ewma_m", "session_avg_m"):
+        assert a[c].isna().all(), c
+    b = out[out.conv_id == "b"].reset_index(drop=True)
+    np.testing.assert_allclose(b["avg_m"].to_numpy(), [np.nan, 1.0, 1.5], equal_nan=True)
 
 
 def test_quantile_disc_rule_matches_duckdb_at_crossing(tmp_path):

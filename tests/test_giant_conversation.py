@@ -1,18 +1,19 @@
 """SURVEY §7.3 escape hatch, executed: a conversation far larger than one
 bucket's comfortable batch (500k turns — bigger than any single batch the
-streaming actor is allowed) must flow through the streaming engine in
-bounded per-batch state and match the batch kernel exactly.
+streaming actor pool is allowed) must flow through the streaming job in
+bounded per-batch state and match the unsplit window kernel.
 
 The batch path would hold the whole conversation in one task (windows are
 prefix-sequential per conversation, so a conversation can never be split
-across buckets); the streaming actor is the documented path when that one
-task would exceed a worker's heap: O(tail + registers) carry state per
-conversation, ordered batches."""
+across buckets); the streaming actor pool is the documented path when that
+one task would exceed a worker's heap: the kernel's O(tail + registers)
+carry per conversation, ordered batches."""
 
 import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from nfl_feature_store_ray.pipelines.partitioned import (
@@ -20,7 +21,7 @@ from nfl_feature_store_ray.pipelines.partitioned import (
     sort_partition,
     window_features_streaming,
 )
-from nfl_feature_store_ray.state.window_kernel_pl import compute_bucket_windows_pl
+from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
 PART_DIR = "/tmp/nfl_fs_giant_parts"
 GIANT_TURNS = 500_000
@@ -81,7 +82,8 @@ def test_giant_conversation_streaming_matches_batch_kernel():
     for r in ("user", "assistant", "tool"):
         ref_in[f"is_{r}"] = (ref_in["role"] == r).astype("int8")
     ref = (
-        compute_bucket_windows_pl(ref_in, metrics=("value",))
+        kernel_arrow(pa.Table.from_pandas(ref_in, preserve_index=False), metrics=("value",))
+        .to_pandas()
         .sort_values(["conv_id", "turn_idx"], kind="mergesort")
         .reset_index(drop=True)
     )
@@ -96,11 +98,8 @@ def test_giant_conversation_streaming_matches_batch_kernel():
             ref[c].to_numpy(dtype="float64"),
             rtol=1e-9, atol=1e-12, equal_nan=True, err_msg=c,
         )
-    # ewma is allclose (chunk-renormalized closed form vs recursive; see
-    # state/streaming.py docstring) — looser rtol by documented contract
-    np.testing.assert_allclose(
-        got["ewma_value"].to_numpy(dtype="float64"),
-        ref["ewma_value"].to_numpy(dtype="float64"),
-        rtol=1e-8, equal_nan=True,
-    )
+    # the carried EWMA register continues the same recursion: bitwise
+    a = got["ewma_value"].to_numpy(dtype="float64")
+    b = ref["ewma_value"].to_numpy(dtype="float64")
+    assert ((a == b) | (np.isnan(a) & np.isnan(b))).all()
     assert (got["session_id"].to_numpy() == ref["session_id"].to_numpy()).all()

@@ -7,12 +7,13 @@ import os
 import shutil
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
 from nfl_feature_store_ray.state.manifest import write_partitioned
-from nfl_feature_store_ray.state.window_engine import compute_bucket_windows
+from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
 OUT = "/tmp/nfl_fs_resume_test"
 
@@ -23,7 +24,8 @@ def _transform(df: pd.DataFrame) -> pd.DataFrame:
     df["is_user"] = (df["role"] == "user").astype("int8")
     df["is_assistant"] = (df["role"] == "assistant").astype("int8")
     df["is_tool"] = (df["role"] == "tool").astype("int8")
-    return compute_bucket_windows(df, metrics=("value",))
+    return kernel_arrow(pa.Table.from_pandas(df, preserve_index=False), metrics=("value",),
+                        sort=False).to_pandas()
 
 
 def _read_all() -> pd.DataFrame:
@@ -91,7 +93,6 @@ def test_stale_partitions_pruned_when_keys_vacate():
     sub = tbl.to_pandas()
     keep = sorted(sub["conv_id"].unique())[:3]
     sub = sub[sub["conv_id"].isin(keep)]
-    import pyarrow as pa
 
     man = write_partitioned(
         rd.from_arrow(pa.Table.from_pandas(sub, preserve_index=False)), out,

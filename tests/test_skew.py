@@ -67,9 +67,30 @@ CHAIN_EXACT = [
     "conv_id", "ts", "turn_idx", "session_id", "session_turn_idx",
     "n_prior_user", "n_prior_assistant", "n_prior_tool",
     "turns_since_tool", "roll10_tool_rate",
-    "last_value", "avg_value", "session_avg_value",
+    "last_value", "avg_value", "session_avg_value", "ewma_value",
 ]
-CHAIN_ALLCLOSE = ["gap_s", "secs_since_tool", "form_value", "ewma_value"]
+CHAIN_ALLCLOSE = ["gap_s", "secs_since_tool", "form_value"]
+
+
+def _carried_run(df: pd.DataFrame, rows: int):
+    """The window kernel fed ``df`` (sorted) in ``rows``-row slices per
+    conversation, one carry across all of them, in-process."""
+    import pyarrow as pa
+
+    from nfl_feature_store_ray.state.skew import _with_roles
+    from nfl_feature_store_ray.state.window_kernel_pl import (
+        empty_carry, feature_columns, kernel_arrow)
+
+    carry, outs = empty_carry(METRICS), []
+    for _, g in df.groupby("conv_id", sort=True):
+        g = g.reset_index(drop=True)
+        for a in range(0, len(g), rows):
+            part = pa.Table.from_pandas(g.iloc[a:a + rows], preserve_index=False)
+            out, carry = kernel_arrow(
+                _with_roles(part), metrics=METRICS, assign_turn_idx=True,
+                sort=False, carry=carry)
+            outs.append(out.select(feature_columns(METRICS)).to_pandas())
+    return pd.concat(outs, ignore_index=True)
 
 
 def _assert_cols(a: pd.DataFrame, b: pd.DataFrame, exact, allclose):
@@ -87,15 +108,14 @@ def _assert_cols(a: pd.DataFrame, b: pd.DataFrame, exact, allclose):
 
 
 def test_chained_subrange_matches_batch_and_streaming():
-    """A hot conversation split into 64-row sub-range tasks with state
-    handoff must (a) match the one-task batch kernel per the streaming
-    precision contract — BIT-identical on the cents-exact families,
-    rtol 1e-9 on float-order families — and (b) be fully BITWISE equal
-    to a single in-process streaming actor fed the same splits, proving
-    the cross-task handoff itself is lossless."""
-    from nfl_feature_store_ray.state.skew import (
-        _stream_cols, window_features_chained)
-    from nfl_feature_store_ray.state.streaming import StreamingWindowActor
+    """A hot conversation split into 64-row sub-range tasks with carry
+    handoff must (a) match the one-task batch kernel — BIT-identical on
+    every family but the rolling means and float gaps (rtol 1e-9) — and
+    (b) be fully BITWISE equal to a single in-process kernel run fed the
+    same splits with one carry, proving the cross-task handoff itself is
+    lossless."""
+    from nfl_feature_store_ray.state.skew import window_features_chained
+    from nfl_feature_store_ray.state.window_kernel_pl import feature_columns
 
     tbl = generate_transcripts(n_convs=40, mean_turns=12, seed=13)
     heavy = detect_heavy_keys(rd.from_arrow(tbl), key="conv_id", min_rows=200)
@@ -117,28 +137,22 @@ def test_chained_subrange_matches_batch_and_streaming():
     base = (
         window_features(rd.from_arrow(tbl), metrics=METRICS, num_buckets=8,
                         assign_turn_idx=True)
-        .to_pandas()[_stream_cols(METRICS, ())]
+        .to_pandas()[feature_columns(METRICS, ())]
         .sort_values(["conv_id", "turn_idx"], kind="mergesort")
         .reset_index(drop=True)
     )
     assert len(chained) == len(base) == tbl.num_rows
     _assert_cols(chained, base, CHAIN_EXACT, CHAIN_ALLCLOSE)
 
-    # (b) bitwise vs ONE actor fed identical sub-range splits in order
+    # (b) bitwise vs ONE carried kernel run fed identical sub-range splits
     hdf = tbl.to_pandas()
     hdf = (
-        hdf[hdf.conv_id.isin(heavy)]
+        hdf[hdf.conv_id.isin(heavy)][["conv_id", "ts", "role", *METRICS, "turn_idx"]]
         .sort_values(["conv_id", "ts", "turn_idx"], kind="mergesort")
         .reset_index(drop=True)
     )
-    actor = StreamingWindowActor(metrics=METRICS)
-    outs = []
-    for _, g in hdf.groupby("conv_id", sort=True):
-        g = g.reset_index(drop=True)
-        for a in range(0, len(g), R):
-            outs.append(actor(g.iloc[a:a + R]))
     one = (
-        pd.concat(outs, ignore_index=True)
+        _carried_run(hdf, R)
         .sort_values(["conv_id", "turn_idx"], kind="mergesort")
         .reset_index(drop=True)
     )
@@ -148,19 +162,23 @@ def test_chained_subrange_matches_batch_and_streaming():
         .reset_index(drop=True)
     )
     assert len(one) == len(ch_h)
-    _assert_cols(ch_h, one, list(one.columns), [])
+    _assert_cols(ch_h, one, [c for c in one.columns if c != "conv_id"], [])
+    assert (ch_h["conv_id"].astype(str) == one["conv_id"].astype(str)).all()
 
 
 @pytest.mark.parametrize("phases", [(), ("user", "assistant")])
 def test_chained_state_handoff_is_lossless_across_pickle(phases):
-    """The carry state must survive serialization between chain tasks:
-    actor A consumes batches 1..k; its pickled+restored state must drive
-    batch k+1 bitwise-identically to the uninterrupted actor — including
-    the EWMA register, session seeds, per-phase registers, and the
-    NULL-tail cases."""
+    """The carry must survive serialization between chain tasks: the
+    second half of a run fed a pickled+restored carry must match the
+    same half fed the carry in memory bitwise — including the EWMA
+    register, session seeds, per-phase registers, and the NULL-tail
+    cases."""
     import pickle
 
-    from nfl_feature_store_ray.state.streaming import StreamingWindowActor
+    import pyarrow as pa
+
+    from nfl_feature_store_ray.state.skew import _with_roles
+    from nfl_feature_store_ray.state.window_kernel_pl import empty_carry, kernel_arrow
 
     tbl = generate_transcripts(n_convs=6, mean_turns=40, seed=99)
     df = (
@@ -171,17 +189,17 @@ def test_chained_state_handoff_is_lossless_across_pickle(phases):
     # plant NULL values near a split boundary to cross NULL-skip state
     df.loc[df.index[:120:7], "value"] = np.nan
 
-    a_full = StreamingWindowActor(metrics=METRICS, phases=phases)
-    a_head = StreamingWindowActor(metrics=METRICS, phases=phases)
+    def run(part, carry):
+        out, carry = kernel_arrow(
+            _with_roles(pa.Table.from_pandas(part, preserve_index=False)),
+            metrics=METRICS, phases=phases, carry=carry)
+        return out.to_pandas(), carry
+
     cut = len(df) // 2
-    outs_full = [a_full(df.iloc[:cut]), a_full(df.iloc[cut:])]
-    out_head = a_head(df.iloc[:cut])
-    a_tail = StreamingWindowActor(metrics=METRICS, phases=phases)
-    a_tail.state = pickle.loads(pickle.dumps(a_head.state))
-    out_tail = a_tail(df.iloc[cut:])
-    full = pd.concat(outs_full, ignore_index=True)
-    split = pd.concat([out_head, out_tail], ignore_index=True)
-    _assert_cols(split, full, list(full.columns), [])
+    _, carry = run(df.iloc[:cut], empty_carry(METRICS, phases))
+    tail, _ = run(df.iloc[cut:], carry)
+    restored, _ = run(df.iloc[cut:], pickle.loads(pickle.dumps(carry)))
+    _assert_cols(restored, tail, list(tail.columns), [])
 
 
 def test_chained_all_conversations_heavy():
@@ -210,10 +228,10 @@ def test_chained_all_conversations_heavy():
 
 def test_chained_subrange_phase_families_match_batch():
     """Per-role (phase) window families must survive the chain's
-    cross-task state handoff: cents-exact phase aggregates bitwise vs
-    the batch kernel, float-order phase families within rtol 1e-9."""
-    from nfl_feature_store_ray.state.skew import (
-        _stream_cols, window_features_chained)
+    cross-task carry handoff: last/avg/ewma phase families bitwise vs
+    the batch kernel, the rolling phase means within rtol 1e-9."""
+    from nfl_feature_store_ray.state.skew import window_features_chained
+    from nfl_feature_store_ray.state.window_kernel_pl import feature_columns
 
     PH = ("user", "assistant")
     tbl = generate_transcripts(n_convs=40, mean_turns=12, seed=13)
@@ -229,11 +247,38 @@ def test_chained_subrange_phase_families_match_batch():
     base = (
         window_features(rd.from_arrow(tbl), metrics=METRICS, num_buckets=8,
                         assign_turn_idx=True, phases=PH)
-        .to_pandas()[_stream_cols(METRICS, PH)]
+        .to_pandas()[feature_columns(METRICS, PH)]
         .sort_values(["conv_id", "turn_idx"], kind="mergesort")
         .reset_index(drop=True)
     )
     assert len(chained) == len(base) == tbl.num_rows
-    exact = [f"{f}_value_{p}" for p in PH for f in ("last", "avg")]
-    allc = [f"{f}_value_{p}" for p in PH for f in ("form", "ewma")]
+    exact = [f"{f}_value_{p}" for p in PH for f in ("last", "avg", "ewma")]
+    allc = [f"form_value_{p}" for p in PH]
     _assert_cols(chained, base, CHAIN_EXACT + exact, CHAIN_ALLCLOSE + allc)
+
+
+@pytest.mark.parametrize("dup_at", [5, 16])
+def test_chained_rejects_duplicate_ts_without_tie(dup_at):
+    """tie_col=None and a heavy conversation with a repeated ts: the
+    sub-range order is ambiguous, so the chain must raise — whether the
+    repeat sits inside one sub-range or straddles the handoff (row 16
+    opens the second 16-row sub-range and repeats the carried last ts)."""
+    from nfl_feature_store_ray.state.skew import window_features_chained
+
+    n = 40
+    ts = pd.date_range("2024-01-01", periods=n, freq="s").astype("datetime64[us]")
+    ts = ts.where(np.arange(n) != dup_at, ts[dup_at - 1])
+    df = pd.DataFrame({
+        "conv_id": "c0", "role": "user", "text": "t", "tool": None, "ts": ts,
+        "value": np.round(np.random.default_rng(1).random(n) * 9, 2)})
+    with pytest.raises(Exception, match="duplicate ts"):
+        window_features_chained(
+            rd.from_pandas(df), metrics=("value",), heavy_keys={"c0": 0},
+            sub_range_rows=16,
+        ).to_pandas()
+    # the same input with distinct ts chains fine
+    df["ts"] = pd.date_range("2024-01-01", periods=n, freq="s").astype("datetime64[us]")
+    out = window_features_chained(
+        rd.from_pandas(df), metrics=("value",), heavy_keys={"c0": 0}, sub_range_rows=16,
+    ).to_pandas()
+    assert sorted(out["turn_idx"]) == list(range(n))

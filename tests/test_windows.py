@@ -69,12 +69,11 @@ def test_shift_semantics_strict(engine_out):
 
 
 def test_phase_windows_kernel_parity():
-    """pandas vs polars per-phase families agree; avg is bit-identical
-    (cents-exact on both paths), others allclose."""
-    import numpy as np
+    """The window kernel's per-phase families vs the row-loop oracle on a
+    second data shape (allclose per the oracle contract)."""
+    import pyarrow as pa
 
-    from nfl_feature_store_ray.state.window_engine import compute_bucket_windows
-    from nfl_feature_store_ray.state.window_kernel_pl import compute_bucket_windows_pl
+    from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
     df = (
         generate_transcripts(n_convs=40, mean_turns=18, seed=23)
@@ -86,25 +85,23 @@ def test_phase_windows_kernel_parity():
     for r in ("user", "assistant", "tool"):
         df[f"is_{r}"] = (df["role"] == r).astype("int8")
     phases = ("user", "assistant")
-    a = compute_bucket_windows(df.copy(), metrics=("value",), phases=phases)
-    b = compute_bucket_windows_pl(df.copy(), metrics=("value",), phases=phases)
-    cols = [f"{fam}_value_{p}" for p in phases for fam in ("last", "form", "avg", "ewma")]
-    for col in cols:
-        np.testing.assert_allclose(
-            a[col].to_numpy(float), b[col].to_numpy(float),
-            rtol=1e-9, atol=1e-12, equal_nan=True, err_msg=col,
-        )
-    for p in phases:  # cents-exact path must be bit-identical
-        x, y = a[f"avg_value_{p}"].to_numpy(float), b[f"avg_value_{p}"].to_numpy(float)
-        assert ((x == y) | (np.isnan(x) & np.isnan(y))).all()
+    got = kernel_arrow(
+        pa.Table.from_pandas(df, preserve_index=False), metrics=("value",), phases=phases
+    ).to_pandas()
+    cols = ["conv_id", "turn_idx"] + [
+        f"{fam}_value_{p}" for p in phases for fam in ("last", "form", "avg", "ewma")
+    ]
+    ora = oracle_windows(df, metrics=("value",), phases=phases)
+    assert_feature_parity(got[cols], ora[cols])
 
 
 def test_phase_windows_point_in_time():
     """A role's phase feature at turn k uses ONLY strictly-prior turns of
     that role (no leakage): hand-check a small conversation."""
     import numpy as np
+    import pyarrow as pa
 
-    from nfl_feature_store_ray.state.window_engine import compute_bucket_windows
+    from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
     df = pd.DataFrame(
         {
@@ -119,9 +116,10 @@ def test_phase_windows_point_in_time():
     )
     for r in ("user", "assistant", "tool"):
         df[f"is_{r}"] = (df["role"] == r).astype("int8")
-    out = compute_bucket_windows(
-        df, metrics=("value",), assign_turn_idx=True, phases=("user",)
-    )
+    out = kernel_arrow(
+        pa.Table.from_pandas(df, preserve_index=False), metrics=("value",),
+        assign_turn_idx=True, phases=("user",),
+    ).to_pandas()
     # last_value_user: prior user value at each turn
     np.testing.assert_array_equal(
         out["last_value_user"].to_numpy(), [np.nan, 10.0, 10.0, 30.0, 30.0]
