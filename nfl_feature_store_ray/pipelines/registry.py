@@ -7,88 +7,25 @@ SQL-expressible (driver correctness gate)."""
 
 from __future__ import annotations
 
-from nfl_feature_store_ray.pipelines import transcript_queries
-
-# Union of the driver's r01-r04 correctness samples (50 queries/round,
-# apparently in registry order). Iteration order puts NEVER-sampled
-# queries FIRST so each round's sample reaches registry entries whose
-# only gate so far is the repo's own parity/fuzz suite (r03 verdict #4,
-# extended per r04 verdict #1). The list is validated against the live
-# registry in _merge() so renamed/removed queries fail loudly instead of
-# silently rotting (ADVICE r04).
-_DRIVER_SAMPLED = frozenset({
-    "agg_career", "agg_conditional_sums", "agg_mode", "agg_nullable_sum",
-    "agg_star_outer", "agg_variance", "agg_weighted_day", "ann_cosine_topk",
-    "ann_ivf", "anti_join", "asof_daily", "asof_tolerance", "clean_text",
-    "coalesce_fallbacks", "dedup_embedding", "dedup_exact",
-    "dedup_minhash_lsh", "dedup_ngram_jaccard", "dedup_simhash",
-    "distinct_convs_day", "doc_fingerprint", "join_enrich", "lang_id",
-    "pair_join", "parse_props", "percentile_day", "pivot_roles",
-    "q1_pricing", "quantile_tokens", "role_transitions", "sample_docs",
-    "semi_join", "session_stats", "set_ops_convs", "sketch_quantiles",
-    "success_points", "text_stats", "token_counts", "top_tokens",
-    "topk_convs", "topk_per_day", "w_asof_checkpoint", "w_asof_forward",
-    "w_conv_text", "w_cume_dist_day", "w_cummax", "w_densify",
-    "w_densify_seeded", "w_ewma", "w_expanding", "w_expanding_corr",
-    "w_expanding_distinct", "w_first_value", "w_hopping", "w_label_split",
-    "w_lag_gap", "w_lag_k", "w_lead_label", "w_mad_day", "w_novelty",
-    "w_ntile_day", "w_percent_rank_day", "w_phase_windows", "w_range_join",
-    "w_rank_composite", "w_rank_day", "w_response_latency", "w_role_counts",
-    "w_rolling", "w_rolling_median", "w_session", "w_session_avg",
-    "w_sliding_distinct", "w_sliding_window", "w_streak", "w_time_decay",
-    "w_tumbling", "w_turn_overlap", "w_zscore_day", "wide_slice",
-    # --- round-4 driver sample ---
-    "agg_gap_profile", "agg_hour_profile", "agg_tool_set", "ann_lsh",
-    "asof_nearest", "chunk_docs", "cohort_retention", "cooccurrence",
-    "cube_day_role", "day_concentration", "dedup_clusters",
-    "dedup_consecutive", "dedup_edit_distance", "dq_checks",
-    "graph_triangles", "hist_tokens", "kmeans_embed", "lm_commonness",
-    "max_concurrency", "minmax_day", "oov_rate", "pagerank",
-    "posting_lists", "quality_flags", "redact_pii", "rollup_day_role",
-    "sample_stratified", "sample_temperature", "sketch_cms",
-    "sketch_top_tokens", "skew_tokens", "source_overlap", "split_convs",
-    "target_encode", "tfidf_terms", "top_bigrams", "topk_ties_day",
-    "typo_stats", "vocab_overlap", "w_forward_sum_30m", "w_groups_frame",
-    "w_late_events", "w_pattern_count", "w_quartile_bucket",
-    "w_rolling_grid7", "w_rolling_mode", "w_session_funnel", "w_share_day",
-    "w_time_decay_dyadic", "winsorize_day",
-})
-
-
-def _merge(*modules):
-    queries, oracles = {}, {}
-    for m in modules:
-        queries.update(m.QUERIES)
-        oracles.update(getattr(m, "ORACLES", {}))
-    stale = _DRIVER_SAMPLED - set(queries)
-    if stale:
-        raise RuntimeError(
-            f"registry rotation list names queries that no longer exist: "
-            f"{sorted(stale)} — update _DRIVER_SAMPLED in registry.py")
-    unsampled = {k: v for k, v in queries.items()
-                 if k not in _DRIVER_SAMPLED}
-    sampled = {k: v for k, v in queries.items()
-               if k in _DRIVER_SAMPLED}
-    return {**unsampled, **sampled}, oracles
+# imports are strict: a broken pipeline module must FAIL the registry
+# (and hence `__ray_entry__.queries()`), not silently shrink the query set
+# to a smaller all-green one
+from nfl_feature_store_ray.pipelines import (
+    agg_queries,
+    dedup,
+    join_queries,
+    parse_queries,
+    resume_queries,
+    text_analysis,
+    transcript_queries,
+    wide,
+)
 
 
 def all_queries():
-    # imports are strict: a broken pipeline module must FAIL the registry
-    # (and hence the driver gate), not silently shrink the query set to a
-    # smaller all-green one
-    modules = [transcript_queries]
-    for name in (
-        "agg_queries",
-        "dedup",
-        "text_analysis",
-        "similarity",
-        "join_queries",
-        "parse_queries",
-        "wide",
-        "multimodal",
-        "resume_queries",
-        "packing",
-    ):
-        mod = __import__(f"nfl_feature_store_ray.pipelines.{name}", fromlist=[name])
-        modules.append(mod)
-    return _merge(*modules)
+    queries, oracles = {}, {}
+    for m in (transcript_queries, agg_queries, dedup, text_analysis,
+              join_queries, parse_queries, wide, resume_queries):
+        queries.update(m.QUERIES)
+        oracles.update(m.ORACLES)
+    return dict(sorted(queries.items())), oracles

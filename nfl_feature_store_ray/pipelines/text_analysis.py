@@ -1856,7 +1856,7 @@ ORACLES["sample_temperature"] = SQL_SAMPLE_TEMPERATURE
 # fingerprint itself is not SQL-expressible (bigint modular arithmetic),
 # but its defining invariant is — identical token sequences MUST
 # fingerprint identically, across blocks and workers. Same twin-union
-# pattern as dedup.DOC_TWIN / similarity._twin_union.
+# pattern as dedup.DOC_TWIN.
 # ---------------------------------------------------------------------------
 def q_fingerprint_twins(sf_dir: str):
     from nfl_feature_store_ray.pipelines.dedup import DOC_TWIN, _twin_docs

@@ -1558,8 +1558,7 @@ def q_turn_overlap(sf_dir: str):
         n = len(g)
         if n == 0:  # typed ARROW empty (np.concatenate below assumes n >= 1;
             # a zero-row object column would become an Arrow null-typed
-            # field and trip block-size estimation / schema unification —
-            # same fix as incremental.py / packing.eval_gram_set)
+            # field and trip block-size estimation / schema unification)
             import pyarrow as _pa
 
             return _pa.table(
@@ -3144,9 +3143,10 @@ ORACLES["w_pattern_count"] = SQL_PATTERN_COUNT
 # quantile-bucket feature discretization — assign each conversation-day
 # total to its day's quartile bucket (1..4): the standard ML binning prep.
 # Thresholds are DISCRETE order statistics (DuckDB quantile_disc rank rule
-# ceil(q*n), pinned in quantile_tokens) on exact integer cents, so the
-# bucket comparison is all-integer -> hash-exact. One day shuffle; the
-# whole day is co-located, so thresholds and bucketing happen in one pass.
+# ceil(q*n), pinned by tests/test_quantile_rules.py) on exact integer
+# cents, so the bucket comparison is all-integer -> hash-exact. One day
+# shuffle; the whole day is co-located, so thresholds and bucketing happen
+# in one pass.
 # ---------------------------------------------------------------------------
 def q_quartile_bucket(sf_dir: str):
     ts = transcripts_from_events(sf_dir)

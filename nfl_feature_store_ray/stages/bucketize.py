@@ -52,7 +52,7 @@ BUCKET_COL = "_bucket"
 def tune_context() -> None:
     """DataContext hook for the engine's shuffle pattern.
 
-    Measured at sf0.1 (bench.py): the default pull-based sort shuffle beats
+    Measured at sf0.1 on 32 CPUs: the default pull-based sort shuffle beats
     both push-based (catastrophic on multi-key aggregates: 13s -> 37s) and
     hash-shuffle (actor setup dominates at this scale) for every pipeline
     shape here, once warm. Kept as a no-op seam so a different strategy can
@@ -138,8 +138,3 @@ def map_conv_buckets(
 
     bucketed = with_bucket(ds, key=key, num_buckets=num_buckets, heavy_keys=heavy_keys)
     return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format="pandas")
-
-
-def arrow_sorted(table: pa.Table, cols: list[str]) -> pa.Table:
-    """Stable multi-column sort of an Arrow table."""
-    return table.sort_by([(c, "ascending") for c in cols])

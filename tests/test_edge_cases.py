@@ -223,23 +223,6 @@ def test_ewma_oracle_no_overflow_on_long_conversation(tmp_path):
             )
 
 
-def test_pack_scan_empty_input_keeps_schema():
-    """pack_scan over a dataset whose every row is filtered out must return
-    the schema-complete empty result, not KeyError on the vanished columns
-    (reachable via q_curate_corpus when nothing survives curation)."""
-    import ray.data as rdata
-
-    from nfl_feature_store_ray.pipelines.packing import pack_scan
-
-    toks = rdata.from_pandas(
-        pd.DataFrame({"doc_id": [1, 2], "n_tokens": [5, 6]})
-    ).filter(lambda r: False)
-    out = pack_scan(toks)
-    out = out.to_pandas() if not isinstance(out, pd.DataFrame) else out
-    assert len(out) == 0
-    assert list(out.columns) == ["doc_id", "n_tokens", "pack_id", "pack_offset"]
-
-
 def test_sample_stratified_negative_ids_match_oracle(tmp_path):
     """Negative doc_ids: numpy % is non-negative while SQL % keeps the
     dividend's sign — the oracle normalizes so both select identical
@@ -432,34 +415,6 @@ def test_source_overlap_single_source_keeps_schema(tmp_path, ray_session):
          "lang": "en", "source": "only", "n_chars": 0}
     )
     _docs_oracle_compare(tmp_path, df, ["source_overlap"])
-
-
-def test_ann_pq_tiny_corpus_trains_clamped_codebooks(tmp_path, ray_session):
-    """ADVICE r04: fewer training vectors than PQ_K=16 must clamp the
-    per-subspace codebook (padding unused rows), not raise a numpy
-    broadcast ValueError; planted exact duplicates must still score 1.0."""
-    import numpy as np
-
-    import __ray_entry__ as e
-
-    rng = np.random.default_rng(9)
-    vecs = rng.normal(size=(6, 64))
-    vecs[5] = vecs[0]  # exact duplicate pair
-    df = pd.DataFrame(
-        {"vec_id": range(6),
-         "embedding": [v.astype(np.float32).tolist() for v in vecs],
-         "label": np.zeros(6, dtype="int32")}
-    )
-    d = tmp_path / "tinyemb"
-    d.mkdir()
-    df.to_parquet(d / "embeddings.parquet", index=False)
-    r = e.queries()["ann_pq"](str(d))
-    r = r.to_pandas() if not isinstance(r, pd.DataFrame) else r
-    assert len(r) > 0
-    # with k_eff = n_train every vector IS a centroid: PQ scores are exact,
-    # so the duplicate pair must top each other's lists with cos_sim 1.0
-    top0 = r[r["query_id"] == 0].iloc[0]
-    assert top0["neighbor_id"] == 5 and abs(top0["cos_sim"] - 1.0) < 1e-9
 
 
 def test_sketch_dd_bounds_no_positive_values(tmp_path, ray_session):
