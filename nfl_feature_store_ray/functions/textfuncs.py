@@ -1,14 +1,11 @@
-"""Deterministic text kernels: shingling, MinHash, SimHash, fingerprints,
-token stats, language-ID scoring.
+"""Deterministic text kernels: shingling, tokenizing, rolling
+fingerprints and language-ID markers.
 
-All hashes are seeded/deterministic (pandas' SipHash C kernel with a
-fixed 16-byte key, or fixed multiply-add permutations mod a Mersenne
-prime) so every pipeline is reproducible across runs, processes, and
-cluster sizes. Every kernel is BATCH-vectorized: strings are hashed in
-one C pass per batch (hash_str_array), signatures via broadcast +
-segment-min (minhash_from_flat), band keys via polynomial mixes
-(band_key_matrix), SimHash via unpackbits + reduceat (simhash64_batch) —
-no per-token or per-shingle Python hashing anywhere.
+Token hashes are seeded/deterministic (pandas' SipHash C kernel with a
+fixed 16-byte key, reduced mod the Mersenne prime 2^61-1) so every
+pipeline is reproducible across runs, processes, and cluster sizes.
+Shingles and tokens are built batch-wise in polars and hashed in one C
+pass per batch (hash_str_array) — no per-token Python hashing.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 _MERSENNE61 = (1 << 61) - 1
-_MERSENNE31 = (1 << 31) - 1
 
 
 def token_split(text: str) -> list[str]:
@@ -115,15 +111,6 @@ def token_flat(texts, lower: bool = True) -> tuple[np.ndarray, np.ndarray]:
     return counts, e["w"].to_numpy()
 
 
-def minhash_params(num_perm: int = 128, seed: int = 1234) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, _MERSENNE31, size=num_perm, dtype=np.uint64)
-    b = rng.integers(0, _MERSENNE31, size=num_perm, dtype=np.uint64)
-    return a, b
-
-
-
-
 _HASH_KEY16 = "nfl_fs_text_16b!"  # pd.util.hash_array key: EXACTLY 16 bytes
 
 
@@ -132,7 +119,7 @@ def hash_str_array(strings: list[str] | np.ndarray) -> np.ndarray:
     kernel, fixed key — deterministic across runs/processes/machines).
 
     One C pass over the whole batch — replaces the round-1 per-string
-    hashlib.blake2b calls (the measured MinHash hot spot).
+    hashlib.blake2b calls (the measured hashing hot spot).
     """
     import pandas as pd
 
@@ -143,83 +130,12 @@ def hash_str_array(strings: list[str] | np.ndarray) -> np.ndarray:
     )
 
 
-def mod31(h: np.ndarray) -> np.ndarray:
-    return h % np.uint64(_MERSENNE31)
-
-
 def mod61(h: np.ndarray) -> np.ndarray:
     return (h % np.uint64(_MERSENNE61)).astype(np.int64)
 
 
-def hash31_array(strings: list[str] | np.ndarray) -> np.ndarray:
-    return mod31(hash_str_array(strings))
-
-
 def hash61_array(strings: list[str] | np.ndarray) -> np.ndarray:
     return mod61(hash_str_array(strings))
-
-
-def minhash_from_flat(
-    flat_hashes: np.ndarray,
-    counts: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    chunk_rows: int = 65536,
-) -> np.ndarray:
-    """MinHash signatures from a CONCATENATED shingle-hash array.
-
-    ``flat_hashes`` holds every document's shingle hashes back to back;
-    ``counts[d]`` is document d's shingle count. One (chunk x perms)
-    broadcast + ``np.minimum.reduceat`` segment-min per chunk of documents
-    — no per-document Python loop. Empty documents get sentinel p-1.
-    """
-    num_perm = len(a)
-    p = np.uint64(_MERSENNE31)
-    n_docs = len(counts)
-    out = np.full((n_docs, num_perm), _MERSENNE31 - 1, dtype=np.uint64)
-    offsets = np.zeros(n_docs, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    buf = t0 = t1 = msk = None
-    d0 = 0
-    while d0 < n_docs:
-        # grow the doc chunk until ~chunk_rows shingle rows
-        d1, rows = d0, 0
-        while d1 < n_docs and (rows == 0 or rows + counts[d1] <= chunk_rows):
-            rows += counts[d1]
-            d1 += 1
-        nonempty = np.flatnonzero(counts[d0:d1]) + d0
-        if len(nonempty):
-            lo = offsets[d0]
-            x = flat_hashes[lo : lo + rows].astype(np.uint64)[:, None]
-            # ONE preallocated (chunk x perms) buffer reused by every chunk
-            # and every in-place step below: the naive expression chain
-            # allocated ~4 fresh ~67MB temporaries per chunk, which glibc
-            # serves via mmap/munmap — on a FRESH Ray worker that is a
-            # page-fault storm measured at 4-7s of first-call overhead
-            # (the r03 dedup_minhash_lsh bench variance)
-            if buf is None or buf.shape[0] < rows:
-                buf = np.empty((rows, num_perm), dtype=np.uint64)
-                t0 = np.empty_like(buf)
-                t1 = np.empty_like(buf)
-                msk = np.empty(buf.shape, dtype=bool)
-            v = buf[:rows]
-            np.multiply(a[None, :], x, out=v)  # < 2^62 (a, x < 2^31)
-            np.add(v, b[None, :], out=v)
-            # exact mod 2^31-1 via Mersenne folds (identical value to `% p`,
-            # ~10x faster than uint64 division on this 33M-element surface)
-            for _ in range(2):
-                np.add(
-                    np.bitwise_and(v, p, out=t0[:rows]),
-                    np.right_shift(v, np.uint64(31), out=t1[:rows]),
-                    out=v,
-                )
-            m_ = np.greater_equal(v, p, out=msk[:rows])
-            np.subtract(v, p, out=t0[:rows], where=m_)
-            np.copyto(v, t0[:rows], where=m_)
-            segs = (offsets[nonempty] - lo).astype(np.int64)
-            out[nonempty] = np.minimum.reduceat(v, segs, axis=0)
-        d0 = d1
-    return out
 
 
 def rolling_fingerprint_from_flat(
@@ -238,65 +154,6 @@ def rolling_fingerprint_from_flat(
         out[d] = acc
         i += int(c)
     return out
-
-
-def rolling_fingerprint_batch(
-    token_lists: list[list[str]], base: int = 1_000_003
-) -> np.ndarray:
-    counts = np.fromiter((len(t) for t in token_lists), dtype=np.int64,
-                         count=len(token_lists))
-    flat = np.array([t for ts in token_lists for t in ts], dtype=object)
-    return rolling_fingerprint_from_flat(flat, counts, base)
-
-
-def simhash64_from_flat(flat_tokens: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit SimHash from a concatenated token array.
-
-    One C hash pass over every token of the batch, bit expansion via
-    ``np.unpackbits``, per-document ±1 accumulation via
-    ``np.add.reduceat`` — no per-token hashlib (same fix as MinHash).
-    Hamming distances are invariant to the (fixed) bit numbering."""
-    out = np.zeros(len(counts), dtype=np.uint64)
-    if not len(flat_tokens):
-        return out
-    h = hash_str_array(flat_tokens)  # (total,) uint64
-    bits = np.unpackbits(h.view(np.uint8)).reshape(len(h), 64)
-    signs = bits.astype(np.int32) * 2 - 1
-    nonempty = np.flatnonzero(counts)
-    offsets = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    acc = np.add.reduceat(signs, offsets[nonempty], axis=0)  # (nonempty, 64)
-    packed = np.packbits((acc > 0).astype(np.uint8), axis=1)  # (nonempty, 8)
-    out[nonempty] = packed.view(np.uint64).ravel()
-    return out
-
-
-def simhash64_batch(token_lists: list[list[str]]) -> np.ndarray:
-    counts = np.fromiter((len(t) for t in token_lists), dtype=np.int64,
-                         count=len(token_lists))
-    flat = np.array([t for ts in token_lists for t in ts], dtype=object)
-    return simhash64_from_flat(flat, counts)
-
-
-def band_key_matrix(sigs: np.ndarray, bands: int) -> np.ndarray:
-    """Vectorized LSH band keys: (docs, bands) int64, band index mixed in.
-
-    Two independent 31-bit polynomial mixes (multipliers < 2^20 keep
-    every product inside uint64) combined into a 62-bit key — collisions
-    are ~(pairs/2^62) and verified away by the exact-Jaccard stage anyway.
-    """
-    d, num_perm = sigs.shape
-    r = num_perm // bands
-    chunks = sigs.reshape(d, bands, r).astype(np.uint64)
-    m31 = np.uint64(_MERSENNE31)
-    band_ix = np.arange(bands, dtype=np.uint64)[None, :]
-    acc1 = np.broadcast_to(band_ix, (d, bands)).copy()
-    acc2 = (band_ix + np.uint64(7)).astype(np.uint64) * np.ones((d, 1), dtype=np.uint64)
-    for j in range(r):
-        cj = chunks[:, :, j]
-        acc1 = (acc1 * np.uint64(1_000_003) + cj) % m31
-        acc2 = (acc2 * np.uint64(999_983) + cj) % m31
-    return (acc1.astype(np.int64) << np.int64(31)) | acc2.astype(np.int64)
 
 
 # --- language-ID marker lists (deterministic heuristic; SQL-mirrored) ------

@@ -12,7 +12,6 @@ from __future__ import annotations
 # to a smaller all-green one
 from nfl_feature_store_ray.pipelines import (
     agg_queries,
-    dedup,
     join_queries,
     parse_queries,
     resume_queries,
@@ -24,7 +23,7 @@ from nfl_feature_store_ray.pipelines import (
 
 def all_queries():
     queries, oracles = {}, {}
-    for m in (transcript_queries, agg_queries, dedup, text_analysis,
+    for m in (transcript_queries, agg_queries, text_analysis,
               join_queries, parse_queries, wide, resume_queries):
         queries.update(m.QUERIES)
         oracles.update(m.ORACLES)

@@ -149,7 +149,7 @@ def q_doc_fingerprint(sf_dir: str):
         return pd.DataFrame(
             {
                 "doc_id": df["doc_id"],
-                "fingerprint": tf.rolling_fingerprint_from_flat(flat, counts) >> 2,
+                "fingerprint": tf.rolling_fingerprint_from_flat(flat, counts),
             }
         )
 
@@ -1849,41 +1849,3 @@ WHERE r.rk <= q.quota
 
 QUERIES["sample_temperature"] = q_sample_temperature
 ORACLES["sample_temperature"] = SQL_SAMPLE_TEMPERATURE
-
-
-# ---------------------------------------------------------------------------
-# planted-twin contract for the rolling-hash fingerprint (round 5): the
-# fingerprint itself is not SQL-expressible (bigint modular arithmetic),
-# but its defining invariant is — identical token sequences MUST
-# fingerprint identically, across blocks and workers. Same twin-union
-# pattern as dedup.DOC_TWIN.
-# ---------------------------------------------------------------------------
-def q_fingerprint_twins(sf_dir: str):
-    from nfl_feature_store_ray.pipelines.dedup import DOC_TWIN, _twin_docs
-    from nfl_feature_store_ray.stages.bucketize import map_conv_buckets
-
-    def fp(df: pd.DataFrame) -> pd.DataFrame:
-        counts, flat = tf.token_flat(df["text"].to_numpy())
-        return pd.DataFrame(
-            {"orig_id": df["doc_id"].to_numpy(np.int64) % DOC_TWIN,
-             "fingerprint": tf.rolling_fingerprint_from_flat(flat, counts) >> 2})
-
-    def per_id(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.groupby("orig_id")["fingerprint"].agg(["size", "nunique"]).reset_index()
-        return pd.DataFrame({"doc_id": a["orig_id"].astype("int64"),
-                             "n_copies": a["size"].astype("int32"),
-                             "n_distinct_fp": a["nunique"].astype("int32")})
-
-    rows = _twin_docs(sf_dir).map_batches(fp, batch_format="pandas")
-    return map_conv_buckets(rows, per_id, key="orig_id",
-                            sort_cols=["orig_id"], num_buckets=16)
-
-
-SQL_FINGERPRINT_TWINS = """
-SELECT doc_id, CAST(2 AS INTEGER) AS n_copies,
-       CAST(1 AS INTEGER) AS n_distinct_fp
-FROM documents
-"""
-
-QUERIES["fingerprint_twins"] = q_fingerprint_twins
-ORACLES["fingerprint_twins"] = SQL_FINGERPRINT_TWINS

@@ -1385,10 +1385,10 @@ QUERIES["w_time_decay"] = q_time_decay  # rows-only (no exact SQL possible)
 # DYADIC time decay — the hash-exactly gateable sibling of w_time_decay
 # (r03 verdict #5): state is an integer cent sum halved once per elapsed
 # MINUTE via a right shift, so every operation is exact integer arithmetic
-# on both engines (the same fixed-point discipline that made pagerank
-# bit-equal to its unrolled oracle). Semantics per conversation in
-# (ts, _seq) order, c_i = max(round(value*100), 0) (clamp keeps the state
-# non-negative so >> == DuckDB's // which truncates toward zero):
+# on both engines and the query is bit-equal to its SQL oracle. Semantics
+# per conversation in (ts, _seq) order, c_i = max(round(value*100), 0)
+# (clamp keeps the state non-negative so >> == DuckDB's // which truncates
+# toward zero):
 #     prior_i = s_{i-1} >> min(63, gap_minutes_i)     (output, strictly prior)
 #     s_i     = prior_i + c_i
 # The continuous-exp variant stays rows-only (libm ulp divergence).

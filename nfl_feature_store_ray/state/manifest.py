@@ -66,27 +66,17 @@ def partitioned_commit(
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     transform=None,
     fingerprint_cols: list[str] | None = None,
-    emit=None,
 ) -> ray.data.Dataset:
     """Lazy partition-commit stage: partition ``ds`` by hash(key), apply
     ``transform`` per partition, write each partition + manifest
     atomically; skip partitions whose manifest already matches the input
-    fingerprint.
-
-    Each task's OUTPUT is the manifest row by default, or ``emit(group)``
-    when given — the pass-through mode lets a downstream pipeline keep
-    streaming over the same data in ONE execution while the partition
-    files are committed as a durable, resumable side effect (the emitted
-    rows flow only after the partition's os.replace, so later stages may
-    read the committed files).
+    fingerprint. Each task's output is its partition's manifest row.
 
     STALE PARTITIONS: this lazy stage cannot prune files of buckets that
     vacated the input (it never learns the full bucket set) — use the
     eager ``write_partitioned`` (which prunes) for layouts consumed by
     glob-based readers. Consumers of a lazy-commit layout must filter by
-    CURRENT keys (as the MinHash verification does: it reads only its
-    candidates' doc_ids, which by construction never live in a vacated
-    bucket), or read via the manifests."""
+    CURRENT keys, or read via the manifests."""
     os.makedirs(out_dir, exist_ok=True)
 
     def commit(group: pd.DataFrame) -> pd.DataFrame:
@@ -107,7 +97,7 @@ def partitioned_commit(
                 prev = json.load(f)
             if prev.get("input_fingerprint") == fp:
                 prev["skipped"] = True
-                return emit(group) if emit is not None else pd.DataFrame([prev])
+                return pd.DataFrame([prev])
 
         out = transform(group) if transform is not None else group
         tmp = part_path + ".tmp"
@@ -128,7 +118,7 @@ def partitioned_commit(
         with open(mtmp, "w") as f:
             json.dump(manifest, f)
         os.replace(mtmp, man_path)
-        return emit(group) if emit is not None else pd.DataFrame([manifest])
+        return pd.DataFrame([manifest])
 
     bucketed = with_bucket(ds, key=key, num_buckets=num_buckets)
     return bucketed.groupby(BUCKET_COL).map_groups(commit, batch_format="pandas")

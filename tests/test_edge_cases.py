@@ -284,18 +284,6 @@ def test_vocab_overlap_single_source_keeps_schema(tmp_path, ray_session):
     _docs_oracle_compare(tmp_path, df, ["vocab_overlap"])
 
 
-def test_pagerank_edgeless_corpus_empty_not_crash(tmp_path, ray_session):
-    """All-distinct prefixes => no near-dup edges => empty graph; the
-    engine must return the empty typed frame, not divide by zero."""
-    df = pd.DataFrame(
-        {"doc_id": range(8),
-         "text": [f"{c}{c}{c}{c} utterly distinct prefix {i}"
-                  for i, c in enumerate("qwertzui")],
-         "lang": "en", "source": "s", "n_chars": 0}
-    )
-    _docs_oracle_compare(tmp_path, df, ["pagerank"])
-
-
 def test_posting_lists_tiny_and_empty_corpus(tmp_path, ray_session):
     """Fewer tokens than PL_K and a fully-NULL corpus both keep schema."""
     df = pd.DataFrame(

@@ -41,16 +41,25 @@ def test_token_flat_matches_token_split(texts):
     assert i == len(flat)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    xs=st.lists(st.integers(min_value=0, max_value=(1 << 31) - 2), min_size=1,
-                max_size=300),
-)
-def test_minhash_fold_equals_modulo(xs):
-    a, b = tf.minhash_params(16)
-    x = np.asarray(xs, dtype=np.uint64)
-    counts = np.array([len(xs)], dtype=np.int64)
-    sig = tf.minhash_from_flat(x, counts, a, b)
-    p = np.uint64((1 << 31) - 1)
-    ref = np.min((a[None, :] * x[:, None] + b[None, :]) % p, axis=0)
-    assert (sig[0] == ref).all()
+def _fingerprints(texts):
+    counts, flat = tf.token_flat(texts)
+    return tf.rolling_fingerprint_from_flat(flat, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=texts_st, cut=st.integers(min_value=0, max_value=20))
+def test_rolling_fingerprint_matches_horner_and_split(texts, cut):
+    """Each fingerprint is the Horner hash of the text's token hashes mod
+    2^61-1, and fingerprinting any two-way split of the batch gives the
+    same values: identical token sequences fingerprint identically in
+    every batch."""
+    fp = _fingerprints(texts)
+    assert fp.dtype == np.int64 and len(fp) == len(texts)
+    for t, got in zip(texts, fp):
+        acc = 0
+        for h in tf.hash61_array(tf.token_split((t or "").lower())).tolist():
+            acc = (acc * 1_000_003 + h) % (2**61 - 1)
+        assert got == acc, t
+    cut = min(cut, len(texts))
+    split = np.concatenate([_fingerprints(texts[:cut]), _fingerprints(texts[cut:])])
+    assert (split == fp).all()
