@@ -17,7 +17,7 @@ import numpy as np
 from nfl_feature_store_ray.functions.rounding import round_half_away
 import pandas as pd
 from nfl_feature_store_ray.sources.readers import read_table
-from nfl_feature_store_ray.stages.bucketize import map_conv_buckets, tune_context
+from nfl_feature_store_ray.stages.bucketize import map_conv_buckets
 
 
 def _round(df: pd.DataFrame, cols: list[str], nd: int = 4) -> pd.DataFrame:
@@ -30,7 +30,6 @@ def _round(df: pd.DataFrame, cols: list[str], nd: int = 4) -> pd.DataFrame:
 # A1 analogue: conditional sums per supplier over lineitem
 # ---------------------------------------------------------------------------
 def q_conditional_sums(sf_dir: str):
-    tune_context()
     li = read_table(
         sf_dir,
         "lineitem",
@@ -75,7 +74,6 @@ FROM lineitem GROUP BY l_suppkey
 # A2 analogue: deterministic mode (max count, ties -> smallest value)
 # ---------------------------------------------------------------------------
 def q_mode(sf_dir: str):
-    tune_context()
     li = read_table(sf_dir, "lineitem", columns=["l_suppkey", "l_returnflag"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -216,7 +214,6 @@ FROM events GROUP BY 1, 2
 # TPC-H Q1 (classic grouped aggregate; M4-style filter at the read)
 # ---------------------------------------------------------------------------
 def q1_pricing(sf_dir: str):
-    tune_context()
     import pyarrow.dataset as pads
 
     cutoff = pd.Timestamp("1998-09-02")
@@ -387,7 +384,6 @@ def _day_role_level_rows(sf_dir: str) -> pd.DataFrame:
     """One finest-grain day shuffle -> bounded (lvl 0 + lvl 1) rows."""
     from nfl_feature_store_ray.sources.transcripts import transcripts_from_events
 
-    tune_context()
     ts = transcripts_from_events(sf_dir)
     partials = ts.map_batches(_day_role_partial, batch_format="pandas")
     return map_conv_buckets(

@@ -32,20 +32,6 @@ from nfl_feature_store_ray.state.window_kernel_pl import (
 )
 
 
-def ingest_partitioned(
-    ds: ray.data.Dataset,
-    out_dir: str,
-    key: str = "conv_id",
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
-    fingerprint_cols: list[str] | None = None,
-) -> pd.DataFrame:
-    """One-time hash-partition of a transcript dataset into a resumable
-    bucketed parquet layout (returns the manifest frame)."""
-    return ingest_partitioned_with_transform(
-        ds, out_dir, key=key, num_buckets=num_buckets, fingerprint_cols=fingerprint_cols
-    )
-
-
 def ingest_partitioned_with_transform(
     ds: ray.data.Dataset,
     out_dir: str,

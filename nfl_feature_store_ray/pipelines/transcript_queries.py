@@ -3400,8 +3400,8 @@ ORACLES["w_session_funnel"] = SQL_SESSION_FUNNEL
 # group-integrity train/val/test split — the leakage-safe 80/10/10 split
 # at CONVERSATION granularity: every turn of a conversation lands in the
 # same split because membership is a pure deterministic function of
-# conv_id (multiplicative-hash rank, the sample_stratified trick), never
-# of the row. Splitting by row instead would leak near-identical turns
+# conv_id (Knuth multiplicative hash mod 2^31-1, SQL-exact), never of
+# the row. Splitting by row instead would leak near-identical turns
 # of one conversation across train and eval — the classic contamination
 # bug this operator exists to prevent. Shuffle-free map; group integrity
 # is pinned by the fuzz suite's oracle compare plus a dedicated test.
@@ -3456,8 +3456,7 @@ ORACLES["split_convs"] = SQL_SPLIT_CONVS
 # boundary masking — no sort-within-window, no hash map) and argmax with
 # the pinned tie rule (count DESC, role ASC; np.argmax returns the first
 # maximum, and the rows are ordered role-ascending). At 100 TB this is the
-# right mode shape whenever the domain is bounded; unbounded domains go
-# through the heavy-hitter sketch instead.
+# right mode shape whenever the domain is bounded.
 # ---------------------------------------------------------------------------
 ROLLING_MODE_W = 5
 _MODE_ROLES = ("assistant", "tool", "user")  # ascending = tie priority

@@ -49,22 +49,9 @@ _HASH_KEY = "nfl_fs_partition"  # exactly 16 bytes, pinned for determinism
 
 BUCKET_COL = "_bucket"
 
-def tune_context() -> None:
-    """DataContext hook for the engine's shuffle pattern.
-
-    Measured at sf0.1 on 32 CPUs: the default pull-based sort shuffle beats
-    both push-based (catastrophic on multi-key aggregates: 13s -> 37s) and
-    hash-shuffle (actor setup dominates at this scale) for every pipeline
-    shape here, once warm. Kept as a no-op seam so a different strategy can
-    be pinned per deployment without touching call sites.
-    """
-
 
 def bucket_of(keys: pd.Series | pd.DataFrame, num_buckets: int) -> pd.Series:
-    if isinstance(keys, pd.DataFrame):
-        h = pd.util.hash_pandas_object(keys.astype(str), index=False, hash_key=_HASH_KEY)
-    else:
-        h = pd.util.hash_pandas_object(keys.astype(str), index=False, hash_key=_HASH_KEY)
+    h = pd.util.hash_pandas_object(keys.astype(str), index=False, hash_key=_HASH_KEY)
     return (h % num_buckets).astype("int32")
 
 
@@ -81,8 +68,6 @@ def with_bucket(
     dense indices; each gets a DEDICATED bucket past the hash range
     (num_buckets + i) so a hot conversation never straggles the other
     keys hashed into its bucket."""
-    tune_context()
-
     def add(batch: pa.Table) -> pa.Table:
         # Arrow-native stage: only the KEY column(s) round-trip through
         # pandas (the deterministic SipHash contract is pinned to
@@ -122,8 +107,6 @@ def map_conv_buckets(
     by ``sort_cols`` (default ``[key, "ts"]`` + ``_seq``/``turn_idx`` tie
     columns when present), with the internal ``_bucket`` column removed.
     """
-    tune_context()
-
     def run(group: pd.DataFrame) -> pd.DataFrame:
         cols = sort_cols
         if cols is None:

@@ -6,6 +6,7 @@ import pandas as pd
 import ray.data as rd
 
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
+from nfl_feature_store_ray.stages.bucketize import bucket_of
 from nfl_feature_store_ray.state.window_engine import window_features
 
 METRICS = ("value", "text_len")
@@ -27,6 +28,13 @@ def _assert_same(a: pd.DataFrame, b: pd.DataFrame):
             )
         else:
             assert (a[c].fillna("§") == b[c].fillna("§")).all(), c
+
+
+def test_bucket_of_golden():
+    """Persisted partition layouts depend on this hash: a key must land in
+    the same bucket in every release, for single and compound keys."""
+    assert bucket_of(pd.Series(["c0", "c1", "conv-42", ""]), 64).tolist() == [34, 38, 61, 45]
+    assert bucket_of(pd.DataFrame({"a": ["x", "y"], "b": [1, 2]}), 8).tolist() == [3, 0]
 
 
 def test_invariant_to_partitioning_and_order():

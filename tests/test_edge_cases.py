@@ -223,104 +223,6 @@ def test_ewma_oracle_no_overflow_on_long_conversation(tmp_path):
             )
 
 
-def test_sample_stratified_negative_ids_match_oracle(tmp_path):
-    """Negative doc_ids: numpy % is non-negative while SQL % keeps the
-    dividend's sign — the oracle normalizes so both select identical
-    samples on ANY id domain."""
-    import duckdb
-
-    from nfl_feature_store_ray.pipelines.text_analysis import (
-        SQL_SAMPLE_STRATIFIED,
-        q_sample_stratified,
-    )
-
-    d = tmp_path / "neg"
-    d.mkdir()
-    ids = list(range(-50, 50))
-    pd.DataFrame(
-        {"doc_id": ids, "text": "t", "lang": ["en", "de"] * 50,
-         "n_chars": np.int64(1)}
-    ).to_parquet(d / "documents.parquet", index=False)
-    eng = q_sample_stratified(str(d)).to_pandas()
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')"
-    )
-    ora = con.execute(SQL_SAMPLE_STRATIFIED).df()
-    key = lambda df: sorted(map(tuple, df[["doc_id", "lang", "rk"]].to_numpy()))
-    assert key(eng) == key(ora)
-
-
-def _docs_oracle_compare(tmp_path, df, names):
-    """Run each named document-family query on a planted corpus and
-    compare rows+schema against its DuckDB oracle (the degenerate-corpus
-    contract: empty results must keep their schema)."""
-    import duckdb
-
-    import __ray_entry__ as e
-
-    d = tmp_path / "docs"
-    d.mkdir(exist_ok=True)
-    df.to_parquet(d / "documents.parquet", index=False)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')"
-    )
-    for name in names:
-        r = e.queries()[name](str(d))
-        r = r.to_pandas() if not isinstance(r, pd.DataFrame) else r
-        s = con.execute(e.oracle_sql()[name]).df()
-        assert sorted(r.columns) == sorted(s.columns), (name, r.columns)
-        assert len(r) == len(s), (name, len(r), len(s))
-
-
-def test_vocab_overlap_single_source_keeps_schema(tmp_path, ray_session):
-    """One source => zero pairs; the result must be an EMPTY frame with
-    the full 5-column schema (a bare DataFrame([]) would lose it)."""
-    df = pd.DataFrame(
-        {"doc_id": range(6), "text": ["a b", "b c", None, "", "a", "c d"],
-         "lang": "en", "source": "only", "n_chars": 0}
-    )
-    _docs_oracle_compare(tmp_path, df, ["vocab_overlap"])
-
-
-def test_posting_lists_tiny_and_empty_corpus(tmp_path, ray_session):
-    """Fewer tokens than PL_K and a fully-NULL corpus both keep schema."""
-    df = pd.DataFrame(
-        {"doc_id": range(3), "text": ["a b", "a", None],
-         "lang": "en", "source": "s", "n_chars": 0}
-    )
-    _docs_oracle_compare(tmp_path, df, ["posting_lists", "top_bigrams"])
-
-
-def test_typo_stats_planted_truth(tmp_path, ray_session):
-    """Planted corpus with a known answer. The vocabulary is exactly 100
-    words each appearing 3x (filling the TYPO_VOCAB_K=100 top slots), so
-    the once-only probe tokens are OOV: 'thx' (sub) and 'thee' (ins) are
-    distance 1 from vocab word 'the' (correctable), 'zzzzz' is not. Note
-    'teh' would NOT count — plain Levenshtein scores the transposition 2."""
-    words = ["the"] + [f"word{i:03d}" for i in range(99)]
-    filler = " ".join(words * 3)
-    df = pd.DataFrame(
-        {"doc_id": [0, 1, 2],
-         "text": [filler,                       # all in-vocab
-                  filler + " thx thee",         # 2 correctable typos
-                  filler + " zzzzz thx"],       # 1 far-OOV + 1 typo
-         "lang": "en", "source": "s", "n_chars": 0}
-    )
-    d = tmp_path / "typo"
-    d.mkdir()
-    df.to_parquet(d / "documents.parquet", index=False)
-    import __ray_entry__ as e
-
-    r = e.queries()["typo_stats"](str(d))
-    r = (r.to_pandas() if not isinstance(r, pd.DataFrame) else r).sort_values(
-        "doc_id"
-    ).reset_index(drop=True)
-    assert r["n_oov"].tolist() == [0, 2, 2]
-    assert r["n_correctable"].tolist() == [0, 2, 1]
-
-
 def test_late_events_planted_out_of_order(tmp_path, ray_session):
     """The shipped events are arrival-ordered (n_late = 0 everywhere), so
     this plants genuine out-of-orderness: user 1's third-arriving event
@@ -392,17 +294,6 @@ def test_dq_checks_planted_dirty_corpus(tmp_path, ray_session):
     s = con.execute(e.oracle_sql()["dq_checks"]).df().sort_values(
         "check_name").reset_index(drop=True)
     pd.testing.assert_frame_equal(r, s[r.columns.tolist()], check_dtype=False)
-
-
-def test_source_overlap_single_source_keeps_schema(tmp_path, ray_session):
-    """ADVICE r04: exactly one distinct source => zero pairs; must return
-    the empty 4-column typed frame (pd.DataFrame([]) would KeyError on
-    the n_shared astype), matching the oracle's empty result."""
-    df = pd.DataFrame(
-        {"doc_id": range(5), "text": ["a b", "a b", "c", None, "d e"],
-         "lang": "en", "source": "only", "n_chars": 0}
-    )
-    _docs_oracle_compare(tmp_path, df, ["source_overlap"])
 
 
 def test_sketch_dd_bounds_no_positive_values(tmp_path, ray_session):

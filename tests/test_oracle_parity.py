@@ -97,6 +97,15 @@ def _entries():
     return [(n, qs[n], oracles.get(n)) for n in sorted(qs)]
 
 
+def test_every_oracle_has_a_query():
+    """test_query_matches_oracle iterates queries(), so an oracle whose
+    query is gone would otherwise go untested."""
+    import __ray_entry__ as e
+
+    orphans = set(e.oracle_sql()) - set(e.queries())
+    assert not orphans, sorted(orphans)
+
+
 @pytest.mark.parametrize("name", [n for n, _, _ in _entries()])
 def test_query_matches_oracle(name):
     import __ray_entry__ as e

@@ -7,7 +7,7 @@ import numpy as np
 import ray.data as rd
 
 from nfl_feature_store_ray.pipelines.partitioned import (
-    ingest_partitioned,
+    ingest_partitioned_with_transform,
     window_features_partitioned,
 )
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
@@ -22,7 +22,9 @@ def test_partitioned_equals_shuffled():
     ds = rd.from_arrow(tbl)
 
     shutil.rmtree(PART_DIR, ignore_errors=True)
-    man = ingest_partitioned(ds, PART_DIR, num_buckets=8, fingerprint_cols=["conv_id", "turn_idx"])
+    man = ingest_partitioned_with_transform(
+        ds, PART_DIR, num_buckets=8, fingerprint_cols=["conv_id", "turn_idx"]
+    )
     assert len(man) <= 8 and man["rows_in"].sum() == tbl.num_rows
 
     a = (

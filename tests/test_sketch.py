@@ -55,28 +55,6 @@ def test_sketch_merge_invariance():
     pd.testing.assert_frame_equal(dist.reset_index(drop=True), ref)
 
 
-def test_mg_heavy_hitter_bounds():
-    """Misra-Gries guarantees on real data: every estimate brackets the
-    TRUE count within [est, est + err_bound], and every token frequent
-    enough to beat the total undercount budget must appear."""
-    import pandas as pd
-
-    from nfl_feature_store_ray.pipelines.text_analysis import q_sketch_top_tokens
-
-    out = q_sketch_top_tokens(SF)
-    assert len(out) > 0
-    docs = pq.read_table(f"{SF}/documents.parquet", columns=["text"]).to_pandas()
-    true = docs["text"].str.lower().str.split(" ").explode().dropna().value_counts()
-    err = int(out["err_bound"].iloc[0])
-    for _, row in out.iterrows():
-        t = int(true.get(row["tok"], 0))
-        assert row["est"] <= t <= row["est"] + err, row
-    surviving = set(out["tok"])
-    for tok, cnt in true.items():
-        if cnt > err:
-            assert tok in surviving, (tok, cnt, err)
-
-
 def test_sketch_handles_nonpositive_and_nan():
     v = np.array([0.0, -3.5, np.nan, 1.0, 100.0])
     p = dd_partials(v)
