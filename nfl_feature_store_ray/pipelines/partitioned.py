@@ -54,11 +54,12 @@ def partition_files(part_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(part_dir, "part-*.parquet")))
 
 
-def sort_partition(df: pd.DataFrame) -> pd.DataFrame:
+def sort_partition(tbl: pa.Table) -> pa.Table:
     """Ingest transform: persist partitions pre-sorted by (conv_id, ts,
-    tie) so downstream jobs (incl. the streaming actor) skip the sort."""
-    cols = ["conv_id", "ts"] + [t for t in ("turn_idx", "_seq") if t in df.columns]
-    return df.sort_values(cols, kind="mergesort").reset_index(drop=True)
+    tie) so downstream jobs (incl. the streaming actor) skip the sort.
+    Stable: rows equal on every sort key keep their input order."""
+    cols = ["conv_id", "ts"] + [t for t in ("turn_idx", "_seq") if t in tbl.column_names]
+    return tbl.sort_by([(c, "ascending") for c in cols])
 
 
 class _CarryKernel:

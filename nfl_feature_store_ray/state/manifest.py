@@ -14,49 +14,52 @@ The rebuild replaces that with deterministic lineage manifests:
   partition and SKIPS partitions whose manifest matches — "resumes
   mid-shuffle" because the bucket shuffle output is what is checkpointed.
 
-Fingerprints are order-insensitive (XOR of row hashes) so they are stable
-under block/batch nondeterminism.
+A fingerprint is the wrapping ``uint64`` sum of polars row hashes
+(``DataFrame.hash_rows`` under a fixed seed) plus the row count. The sum
+is order-insensitive, so it is stable under block/batch nondeterminism.
+It is also duplicate-sensitive (two equal rows do not cancel, as they did
+under XOR) and null-sensitive (a null cell hashes apart from the string
+``"None"``), and columns are hashed apart rather than joined into one
+string. Row hashes depend on the polars version: a store committed by an
+older fingerprint, or under another polars version, rewrites every
+partition once on its next run and never skips one wrongly.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
 from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, with_bucket
+from nfl_feature_store_ray.state.window_kernel_pl import _pl
 
-_FP_KEY = "nfl_fs_lineage!!"  # 16 bytes
+_FP_SEED = 0x6E666C5F6673  # pinned: a new seed rewrites every stored partition
 
-
-def _col_as_str(s: pd.Series) -> pd.Series:
-    # bytes cells (e.g. packed hash arrays) are not utf-8 decodable —
-    # represent them losslessly via hex instead of astype(str)
-    if s.dtype == object:
-        nn = s.dropna()
-        if len(nn) and isinstance(nn.iloc[0], (bytes, bytearray)):
-            return s.map(
-                lambda b: b.hex() if isinstance(b, (bytes, bytearray)) else str(b)
-            )
-    return s.astype(str)
+MANIFEST_COLUMNS = [
+    "bucket", "input_fingerprint", "rows_in", "rows_out", "output_file",
+    "seconds", "rows_per_sec", "skipped",
+]
 
 
-def group_fingerprint(df: pd.DataFrame, cols: list[str]) -> str:
-    joined = (
-        pd.concat([_col_as_str(df[c]) for c in cols], axis=1).agg("|".join, axis=1)
-        if len(df)
-        else pd.Series([], dtype=object)
+def group_fingerprint(group: pa.Table | pd.DataFrame, cols: list[str]) -> str:
+    """``{wrapping sum of the row hashes of group[cols]:016x}-{rows}``."""
+    pl = _pl()  # lazy: importing polars adds ~20 MB resident to the Ray head process
+    frame = (
+        pl.from_pandas(group[cols])
+        if isinstance(group, pd.DataFrame)
+        else pl.from_arrow(group.select(cols))
     )
-    h = pd.util.hash_pandas_object(
-        joined, index=False, hash_key=_FP_KEY
-    ).to_numpy(dtype=np.uint64)
-    x = np.bitwise_xor.reduce(h) if len(h) else np.uint64(0)
-    return f"{int(x):016x}-{len(df)}"
+    h = frame.hash_rows(seed=_FP_SEED).to_numpy()
+    return f"{int(h.sum(dtype=np.uint64)):016x}-{frame.height}"
 
 
 def partitioned_commit(
@@ -72,6 +75,10 @@ def partitioned_commit(
     atomically; skip partitions whose manifest already matches the input
     fingerprint. Each task's output is its partition's manifest row.
 
+    ``transform`` maps one partition's ``pa.Table`` (whole conversations,
+    bucket column dropped, one chunk per column) to the ``pa.Table`` that
+    is written as ``part-{bucket:05d}.parquet``.
+
     STALE PARTITIONS: this lazy stage cannot prune files of buckets that
     vacated the input (it never learns the full bucket set) — use the
     eager ``write_partitioned`` (which prunes) for layouts consumed by
@@ -79,14 +86,15 @@ def partitioned_commit(
     CURRENT keys, or read via the manifests."""
     os.makedirs(out_dir, exist_ok=True)
 
-    def commit(group: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(group[BUCKET_COL].iloc[0])
-        group = group.drop(columns=[BUCKET_COL])
+    def commit(group: pa.Table) -> pa.Table:
+        bucket = group[BUCKET_COL][0].as_py()
+        # shuffle output arrives as one chunk per map contribution
+        group = group.drop_columns([BUCKET_COL]).combine_chunks()
         # default: fingerprint EVERY column — a value change without a key
         # change must invalidate the partition ("pure function of the
         # input"); pass fingerprint_cols only when a cheaper column subset
         # provably determines the output
-        fcols = fingerprint_cols or list(group.columns)
+        fcols = fingerprint_cols or group.column_names
         t0 = time.perf_counter()
         fp = group_fingerprint(group, fcols)
         part_path = os.path.join(out_dir, f"part-{bucket:05d}.parquet")
@@ -97,31 +105,31 @@ def partitioned_commit(
                 prev = json.load(f)
             if prev.get("input_fingerprint") == fp:
                 prev["skipped"] = True
-                return pd.DataFrame([prev])
+                return pa.Table.from_pylist([prev])
 
         out = transform(group) if transform is not None else group
         tmp = part_path + ".tmp"
-        out.to_parquet(tmp, index=False)
+        pq.write_table(out, tmp)
         os.replace(tmp, part_path)  # atomic commit
         secs = time.perf_counter() - t0
         manifest = {
             "bucket": bucket,
             "input_fingerprint": fp,
-            "rows_in": int(len(group)),
-            "rows_out": int(len(out)),
+            "rows_in": group.num_rows,
+            "rows_out": out.num_rows,
             "output_file": part_path,
             "seconds": round(secs, 4),
-            "rows_per_sec": round(len(group) / secs, 1) if secs > 0 else None,
+            "rows_per_sec": round(group.num_rows / secs, 1) if secs > 0 else None,
             "skipped": False,
         }
         mtmp = man_path + ".tmp"
         with open(mtmp, "w") as f:
             json.dump(manifest, f)
         os.replace(mtmp, man_path)
-        return pd.DataFrame([manifest])
+        return pa.Table.from_pylist([manifest])
 
     bucketed = with_bucket(ds, key=key, num_buckets=num_buckets)
-    return bucketed.groupby(BUCKET_COL).map_groups(commit, batch_format="pandas")
+    return bucketed.groupby(BUCKET_COL).map_groups(commit, batch_format="pyarrow")
 
 
 def write_partitioned(
@@ -132,19 +140,21 @@ def write_partitioned(
     transform=None,
     fingerprint_cols: list[str] | None = None,
 ) -> pd.DataFrame:
-    """Eager wrapper over ``partitioned_commit``: runs the commit and
-    returns the manifest frame (one row per partition: bucket, rows
-    in/out, fingerprint, seconds, rows/sec, skipped flag)."""
+    """Eager wrapper over ``partitioned_commit`` (same ``pa.Table ->
+    pa.Table`` ``transform`` contract): runs the commit and returns the
+    manifest frame (one row per partition: bucket, rows in/out,
+    fingerprint, seconds, rows/sec, skipped flag; no rows for an empty
+    input)."""
     manifests = partitioned_commit(
         ds, out_dir, key=key, num_buckets=num_buckets, transform=transform,
         fingerprint_cols=fingerprint_cols,
-    )
-    man = manifests.to_pandas().sort_values("bucket").reset_index(drop=True)
+    ).to_pandas()
+    if manifests.empty:
+        manifests = pd.DataFrame(columns=MANIFEST_COLUMNS)
+    man = manifests.sort_values("bucket").reset_index(drop=True)
     # prune STALE partitions: a bucket whose keys all disappeared from the
     # input emits no commit task, so its old files would otherwise survive
     # and leak removed rows into glob-based readers of the layout
-    import glob
-
     live = {f"part-{int(b):05d}" for b in man["bucket"]}
     for path in glob.glob(os.path.join(out_dir, "part-*.parquet")) + glob.glob(
         os.path.join(out_dir, "part-*.json")

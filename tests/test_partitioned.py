@@ -4,10 +4,13 @@ byte-identical features to the shuffle-based engine path."""
 import shutil
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from nfl_feature_store_ray.pipelines.partitioned import (
     ingest_partitioned_with_transform,
+    sort_partition,
     window_features_partitioned,
 )
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
@@ -53,3 +56,24 @@ def test_partitioned_equals_shuffled():
             assert (
                 a[c].astype(str).to_numpy() == b[c].astype(str).to_numpy()
             ).all(), c
+
+
+def test_sort_partition_is_stable_and_matches_pandas_mergesort():
+    # equal (conv_id, ts) and no tie column: input order must survive
+    ts = pd.Timestamp("2024-01-01")
+    ties = pa.table({
+        "conv_id": ["b", "a", "b", "a", "b"],
+        "ts": [ts, ts, ts, ts, ts - pd.Timedelta("1s")],
+        "pos": [0, 1, 2, 3, 4],
+    })
+    assert sort_partition(ties)["pos"].to_pylist() == [1, 3, 4, 0, 2]
+
+    # the pandas transform it replaced, on shuffled transcripts
+    tbl = generate_transcripts(n_convs=40, mean_turns=12, seed=77)
+    tbl = tbl.take(np.random.default_rng(5).permutation(tbl.num_rows))
+    want = (
+        tbl.to_pandas()
+        .sort_values(["conv_id", "ts", "turn_idx"], kind="mergesort")
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(sort_partition(tbl).to_pandas(), want)

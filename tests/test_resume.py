@@ -8,24 +8,28 @@ import shutil
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
-from nfl_feature_store_ray.state.manifest import write_partitioned
+from nfl_feature_store_ray.state.manifest import (
+    MANIFEST_COLUMNS,
+    group_fingerprint,
+    write_partitioned,
+)
 from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
 OUT = "/tmp/nfl_fs_resume_test"
 
 
-def _transform(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.sort_values(["conv_id", "ts", "turn_idx"], kind="mergesort").reset_index(drop=True)
-    df["text_len"] = df["text"].str.len()
-    df["is_user"] = (df["role"] == "user").astype("int8")
-    df["is_assistant"] = (df["role"] == "assistant").astype("int8")
-    df["is_tool"] = (df["role"] == "tool").astype("int8")
-    return kernel_arrow(pa.Table.from_pandas(df, preserve_index=False), metrics=("value",),
-                        sort=False).to_pandas()
+def _transform(tbl: pa.Table) -> pa.Table:
+    tbl = tbl.sort_by([(c, "ascending") for c in ("conv_id", "ts", "turn_idx")])
+    tbl = tbl.append_column("text_len", pc.utf8_length(tbl["text"]).cast(pa.int64()))
+    for role in ("user", "assistant", "tool"):
+        tbl = tbl.append_column(f"is_{role}", pc.equal(tbl["role"], role).cast(pa.int8()))
+    return kernel_arrow(tbl, metrics=("value",), sort=False)
 
 
 def _read_all() -> pd.DataFrame:
@@ -102,3 +106,64 @@ def test_stale_partitions_pruned_when_keys_vacate():
     assert len(files) == len(man) < n_before
     got = pd.concat([pq.read_table(f).to_pandas() for f in files])
     assert set(got["conv_id"]) == set(keep)
+
+
+# (before, after) partition inputs that the XOR-of-joined-strings
+# fingerprint could not tell apart: duplicate rows cancelled under XOR, a
+# null cell stringified to "None", and "|" inside a cell shifted the join
+_EDITS = {
+    "duplicate_rows": (
+        {"c": ["a", "a"], "v": [1, 1]},
+        {"c": ["b", "b"], "v": [2, 2]},
+    ),
+    "null_vs_none_string": (
+        {"t": pa.array([None], pa.string())},
+        {"t": ["None"]},
+    ),
+    "separator_in_cell": (
+        {"x": ["a|b"], "y": ["c"]},
+        {"x": ["a"], "y": ["b|c"]},
+    ),
+}
+
+
+def _edit_table(cols: dict) -> pa.Table:
+    n = len(next(iter(cols.values())))
+    return pa.table({"conv_id": ["c0"] * n, **cols})
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_fingerprint_separates_edited_input(edit):
+    before, after = (_edit_table(c) for c in _EDITS[edit])
+    assert group_fingerprint(before, before.column_names) != group_fingerprint(
+        after, after.column_names
+    )
+    # perfbench's traced span fingerprints pandas groups
+    assert group_fingerprint(before.to_pandas(), before.column_names) != group_fingerprint(
+        after.to_pandas(), after.column_names
+    )
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_rerun_after_edit_rewrites_partition(edit):
+    out = f"/tmp/nfl_fs_resume_edit_{edit}"
+    shutil.rmtree(out, ignore_errors=True)
+    before, after = (_edit_table(c) for c in _EDITS[edit])
+    write_partitioned(rd.from_arrow(before), out, num_buckets=1)
+    man = write_partitioned(rd.from_arrow(after), out, num_buckets=1)
+    assert len(man) == 1 and not man["skipped"].iloc[0]
+    got = pq.read_table(man["output_file"].iloc[0]).to_pylist()
+    assert sorted(got, key=repr) == sorted(after.to_pylist(), key=repr)
+
+
+def test_empty_input_prunes_every_partition():
+    out = "/tmp/nfl_fs_resume_empty"
+    shutil.rmtree(out, ignore_errors=True)
+    tbl = generate_transcripts(n_convs=30, mean_turns=10, seed=41)
+    write_partitioned(rd.from_arrow(tbl), out, num_buckets=8, transform=_transform)
+    assert glob.glob(f"{out}/part-*")
+
+    man = write_partitioned(rd.from_arrow(tbl.slice(0, 0)), out, num_buckets=8,
+                            transform=_transform)
+    assert man.empty and list(man.columns) == MANIFEST_COLUMNS
+    assert glob.glob(f"{out}/part-*") == []
