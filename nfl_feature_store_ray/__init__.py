@@ -6,7 +6,7 @@ theedgepredictor/nfl-feature-store (reference, read-only at
 Parquet tables: windowed features (lag / rolling / expanding-with-
 carryover / EWMA), sessionization, as-of joins and backfill, partitioned
 ingest with incremental refresh, rank-within-bucket and pump-style
-conditional aggregations, plus document text-analysis operators.
+conditional aggregations.
 
 Never calls ``ray.init``/``ray.shutdown`` — sessions are owned by the
 caller (the application, perfbench, or the pytest fixture).

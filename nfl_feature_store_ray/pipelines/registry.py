@@ -15,7 +15,6 @@ from nfl_feature_store_ray.pipelines import (
     join_queries,
     parse_queries,
     resume_queries,
-    text_analysis,
     transcript_queries,
     wide,
 )
@@ -23,8 +22,8 @@ from nfl_feature_store_ray.pipelines import (
 
 def all_queries():
     queries, oracles = {}, {}
-    for m in (transcript_queries, agg_queries, text_analysis,
-              join_queries, parse_queries, wide, resume_queries):
+    for m in (transcript_queries, agg_queries, join_queries,
+              parse_queries, wide, resume_queries):
         queries.update(m.QUERIES)
         oracles.update(m.ORACLES)
     return dict(sorted(queries.items())), oracles

@@ -1146,134 +1146,6 @@ QUERIES["w_sliding_window"] = q_sliding_window
 ORACLES["w_sliding_window"] = SQL_SLIDING_WINDOW
 
 
-HLL_P = 10  # 2^10 = 1024 registers -> ~3.2% standard error
-
-
-def approx_distinct_convs(sf_dir: str) -> float:
-    """HyperLogLog distinct-conversation estimate — the sketch shape for
-    cardinalities where even one row per distinct key is too much: each
-    batch emits its 1024 register maxima (a tiny fixed-size partial,
-    independent of batch cardinality), the driver max-merges them, and the
-    estimate needs NO shuffle at all. Accuracy pinned by a quality test
-    vs the exact count (rel. error well inside 3 sigma = ~10%).
-
-    No SQL oracle (approximate by construction) and not registered as a
-    driver query — the exact `distinct_convs_day` is the gated variant.
-    """
-    import pandas as pd  # noqa: F811 — local alias for the closure
-
-    ts = transcripts_from_events(sf_dir)
-    m = 1 << HLL_P
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(
-            df["conv_id"], index=False, hash_key="nfl_fs_hll_sketch"[:16]
-        ).to_numpy(dtype=np.uint64)
-        reg_ix = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
-        rest = h << np.uint64(HLL_P)
-        # rank = leading zeros of the remaining 64-P bits + 1
-        lz = np.full(len(h), 64 - HLL_P, dtype=np.int64)
-        nz = rest != 0
-        bits = np.unpackbits(rest[nz].view(np.uint8)).reshape(-1, 8, 8)[:, ::-1, :]
-        lz[nz] = bits.reshape(-1, 64).argmax(axis=1)
-        rank = np.minimum(lz, 64 - HLL_P) + 1
-        regs = np.zeros(m, dtype=np.int64)
-        np.maximum.at(regs, reg_ix, rank)
-        nzr = np.flatnonzero(regs)
-        return pd.DataFrame({"reg": nzr, "rank": regs[nzr]})
-
-    parts = ts.map_batches(partial, batch_format="pandas").to_pandas()
-    regs = np.zeros(m, dtype=np.int64)
-    if len(parts):
-        np.maximum.at(regs, parts["reg"].to_numpy(), parts["rank"].to_numpy())
-    alpha = 0.7213 / (1 + 1.079 / m)
-    est = alpha * m * m / np.sum(2.0 ** -regs)
-    zeros = int(np.sum(regs == 0))
-    if est <= 2.5 * m and zeros:  # small-range linear counting correction
-        est = m * np.log(m / zeros)
-    return float(est)
-
-
-DD_ALPHA = 0.01  # DDSketch relative-error guarantee (Masson et al. 2019, public)
-DD_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)
-
-
-def dd_partials(v: np.ndarray, alpha: float = DD_ALPHA) -> pd.DataFrame:
-    """DDSketch bucket partial for one value array: bucket i = ceil(ln x /
-    ln gamma) for x > 0, non-positive/NaN values in a sentinel bucket.
-    Pure per-value function -> partials are deterministic and merge by
-    plain summation (order- and partitioning-independent)."""
-    gamma = (1.0 + alpha) / (1.0 - alpha)
-    pos = v > 0  # NaN compares False -> sentinel bucket
-    idx = np.ceil(np.log(v[pos]) / np.log(gamma)).astype(np.int64)
-    u, c = np.unique(idx, return_counts=True)
-    n_nonpos = int((~pos).sum())
-    rows = {"bucket": u, "cnt": c.astype(np.int64)}
-    out = pd.DataFrame(rows)
-    if n_nonpos:
-        out = pd.concat(
-            [pd.DataFrame({"bucket": [np.int64(np.iinfo(np.int64).min)],
-                           "cnt": [np.int64(n_nonpos)]}), out],
-            ignore_index=True,
-        )
-    return out
-
-
-def dd_quantiles_from_buckets(
-    buckets: np.ndarray, counts: np.ndarray, quantiles, alpha: float = DD_ALPHA
-) -> pd.DataFrame:
-    """Quantile estimates from merged DDSketch buckets: rank = ceil(q*n)
-    (the engine's quantile_disc selection rule), estimate = the bucket
-    midpoint 2*gamma^i/(gamma+1) (relative error <= alpha for positive
-    values; the sentinel bucket estimates 0)."""
-    gamma = (1.0 + alpha) / (1.0 - alpha)
-    order = np.argsort(buckets)
-    b, c = buckets[order], counts[order]
-    cum = c.cumsum()
-    n = int(cum[-1]) if len(cum) else 0
-    rows = []
-    sentinel = np.iinfo(np.int64).min
-    for q in quantiles:
-        if n == 0:
-            # typed empty-input result, not an IndexError on the empty
-            # bucket array (zero-row inputs reach this through the gate)
-            rows.append({"q": q, "est": np.nan, "n": 0})
-            continue
-        rank = max(1, int(np.ceil(q * n)))
-        pos = int(np.searchsorted(cum, rank))
-        bi = b[pos]
-        est = 0.0 if bi == sentinel else 2.0 * gamma ** bi / (gamma + 1.0)
-        rows.append({"q": q, "est": est, "n": n})
-    return pd.DataFrame(rows)
-
-
-def q_sketch_quantiles(sf_dir: str):
-    """DDSketch approximate quantiles of ``value`` — the mergeable
-    quantile sketch for UNBOUNDED domains (complements the exact
-    bounded-domain histogram of `quantile_tokens`): each batch ships
-    O(log-range / alpha) bucket-count ints, the driver merge is a tiny
-    groupby-sum, NO shuffle and NO sort at any scale. Deterministic by
-    construction (pure per-value bucketing), so the driver's rows-only
-    gate is stable; accuracy (rel. error <= alpha on positive values) and
-    exact merge-invariance vs a single-pass reference sketch are pinned
-    by tests/test_sketch.py. No SQL oracle: approximate by construction —
-    `quantile_tokens` is the exact gated variant."""
-    ts = transcripts_from_events(sf_dir)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return dd_partials(df["value"].to_numpy(np.float64))
-
-    parts = ts.map_batches(partial, batch_format="pandas").to_pandas()
-    merged = parts.groupby("bucket", as_index=False)["cnt"].sum()
-    return dd_quantiles_from_buckets(
-        merged["bucket"].to_numpy(np.int64), merged["cnt"].to_numpy(np.int64),
-        DD_QUANTILES,
-    )
-
-
-QUERIES["sketch_quantiles"] = q_sketch_quantiles  # rows-only (approximate)
-
-
 # ---------------------------------------------------------------------------
 # session-level rollup: one row per (conv_id, session_id) — the session
 # feature TABLE (the reference materializes per-entity-epoch tables the
@@ -2280,9 +2152,9 @@ ORACLES["w_conv_text"] = SQL_CONV_TEXT
 # ---------------------------------------------------------------------------
 # Exact per-day continuous percentiles (quantile_cont / type-7
 # interpolation) via BOUNDED-DOMAIN histograms — the scale-right exact-
-# quantile shape (cf. quantile_tokens): the metric is cents-quantized, so
-# each batch ships one (day, cents)->count partial instead of raw turns,
-# the day shuffle moves O(days x distinct-cents) rows, and the per-day
+# quantile shape: the metric is cents-quantized, so each batch ships one
+# (day, cents)->count partial instead of raw turns, the day shuffle moves
+# O(days x distinct-cents) rows, and the per-day
 # selection walks a <=10001-bin cumulative histogram. Quartile qs only:
 # with q in {.25,.5,.75} every interpolation intermediate is an exact
 # integer quarter-cent, so engine and DuckDB produce IDENTICAL doubles
@@ -4496,75 +4368,3 @@ FROM w JOIN agg3 a3 ON w.conv_id = a3.conv_id AND w.sid = a3.sid
 
 QUERIES["w_chained_subrange"] = q_chained_subrange
 ORACLES["w_chained_subrange"] = SQL_CHAINED_SUBRANGE
-
-
-def q_sketch_dd_bounds(sf_dir: str):
-    """DDSketch accuracy contract, SQL-gated (round 5, the quantile-family
-    sibling of sketch_cms_bounds): for each probe quantile over the
-    POSITIVE values, the sketch estimate must sit within the
-    (1 +/- DD_ALPHA) relative band of the TRUE rank-ceil(q*n) quantile —
-    Masson et al.'s guarantee stated as booleans a DuckDB oracle can
-    emit. The true quantile is computed DISTRIBUTED and exactly via the
-    same cents-histogram pattern as quantile_tokens (values are 2-decimal
-    by contract), so the check adds one driver-merged partial, no sort."""
-    ts = transcripts_from_events(sf_dir)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
-        vp = v[v > 0]  # sketch bound is defined on positive values
-        dd = dd_partials(vp)
-        dd["kind"] = np.int8(0)
-        cents = np.rint(vp * 100.0).astype(np.int64)
-        u, c = np.unique(cents, return_counts=True)
-        hist = pd.DataFrame({"bucket": u, "cnt": c.astype(np.int64),
-                             "kind": np.int8(1)})
-        return pd.concat([dd, hist], ignore_index=True)
-
-    parts = ts.map_batches(partial, batch_format="pandas").to_pandas()
-    if parts.empty:  # all-zero-row blocks drop the schema (no positives)
-        parts = pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                              "cnt": pd.Series([], dtype="int64"),
-                              "kind": pd.Series([], dtype="int8")})
-    merged = parts.groupby(["kind", "bucket"], as_index=False)["cnt"].sum()
-    dd_m = merged[merged["kind"] == 0]
-    est = dd_quantiles_from_buckets(
-        dd_m["bucket"].to_numpy(np.int64), dd_m["cnt"].to_numpy(np.int64),
-        DD_QUANTILES,
-    )
-    h = merged[merged["kind"] == 1].sort_values("bucket")
-    cum = h["cnt"].to_numpy(np.int64).cumsum()
-    n = int(cum[-1]) if len(cum) else 0
-    rows = []
-    for (q, e) in zip(est["q"], est["est"]):
-        rank = max(1, int(np.ceil(q * n))) if n else 0
-        true = (
-            float(h["bucket"].to_numpy()[int(np.searchsorted(cum, rank))] / 100.0)
-            if n else np.nan
-        )
-        # edge values can land in the adjacent bucket after float log;
-        # the bound there holds with equality — allow 1e-9 relative fuzz.
-        # A corpus with NO positive values bounds vacuously (the oracle's
-        # aggregate over the empty filtered set emits TRUE constants too)
-        rows.append({
-            "q": float(q),
-            "true_q": round_half_away(np.float64(true), 6),
-            "n_pos": n,
-            "ge_lo": n == 0 or bool(e >= true * (1.0 - DD_ALPHA) * (1.0 - 1e-9)),
-            "le_hi": n == 0 or bool(e <= true * (1.0 + DD_ALPHA) * (1.0 + 1e-9)),
-        })
-    return pd.DataFrame(rows)
-
-
-def _dd_bounds_sql() -> str:
-    probes = "\nUNION ALL\n".join(
-        f"SELECT {q} AS q, ROUND(quantile_disc(value, {q}), 6) AS true_q, "
-        f"COUNT(*) AS n_pos, TRUE AS ge_lo, TRUE AS le_hi FROM v"
-        for q in DD_QUANTILES
-    )
-    return f"{_T},\nv AS (SELECT value FROM t WHERE value > 0)\n{probes}"
-
-
-SQL_SKETCH_DD_BOUNDS = _dd_bounds_sql()
-
-QUERIES["sketch_dd_bounds"] = q_sketch_dd_bounds
-ORACLES["sketch_dd_bounds"] = SQL_SKETCH_DD_BOUNDS

@@ -74,8 +74,10 @@ def _check_meta(state_dir: str, meta: dict) -> None:
                 "feature config and state format must stay fixed across "
                 "incremental runs (rebuild the state dir to change them)"
             )
-    with open(meta_path, "w") as f:
+    tmp = meta_path + ".tmp"
+    with open(tmp, "w") as f:
         json.dump(meta, f)
+    os.replace(tmp, meta_path)  # a failed write keeps the previous meta
 
 
 def _read_carry(path: str) -> pa.Table:

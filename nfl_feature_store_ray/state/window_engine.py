@@ -46,7 +46,8 @@ def window_features(
             (lambda t: user_pk(_derive_batch(t))) if user_pk is not None else _derive_batch
         )
 
-    # Arrow spine: bucket column added on pandas batches (cheap), but the
+    # Arrow spine: with_bucket appends the bucket column to Arrow batches
+    # (only the key round-trips through pandas for the hash), and the
     # shuffled groups flow into the kernel as zero-copy Arrow tables ->
     # polars, skipping the pandas block materialization (~20% faster than
     # the pandas spine at sf0.1).

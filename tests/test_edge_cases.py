@@ -111,38 +111,6 @@ def test_all_null_metric_yields_all_null_windows():
     np.testing.assert_allclose(b["avg_m"].to_numpy(), [np.nan, 1.0, 1.5], equal_nan=True)
 
 
-def test_quantile_disc_rule_matches_duckdb_at_crossing(tmp_path):
-    """quantile_disc selection rule: rank = ceil(q*n), verified at (n, q)
-    pairs where the interpolation-style floor(q*(n-1)) rule picks a
-    DIFFERENT order statistic (ADVICE r2: n=6 q=0.75 -> rank 5 vs 4).
-    Distinct token counts so the two rules cannot coincide by value."""
-    import duckdb
-    import pyarrow.parquet as pq
-
-    from nfl_feature_store_ray.pipelines.text_analysis import (
-        SQL_QUANTILE_TOKENS,
-        q_quantile_tokens,
-    )
-
-    for n in (4, 6, 7, 13):
-        d = tmp_path / f"n{n}"
-        d.mkdir()
-        # doc i has i+1 whitespace tokens -> order stats 1..n, all distinct
-        texts = [" ".join(["w"] * (i + 1)) for i in range(n)]
-        pq.write_table(
-            pa.table({"doc_id": list(range(n)), "text": texts}),
-            d / "documents.parquet",
-        )
-        eng = q_quantile_tokens(str(d)).sort_values("q").reset_index(drop=True)
-        con = duckdb.connect()
-        con.execute(
-            f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')"
-        )
-        ora = con.execute(SQL_QUANTILE_TOKENS).df().sort_values("q").reset_index(drop=True)
-        assert list(eng["n_tokens_q"]) == list(ora["n_tokens_q"]), (
-            n, list(eng["n_tokens_q"]), list(ora["n_tokens_q"]))
-
-
 def test_phase_kernel_empty_block_keeps_schema():
     """Zero-row blocks through the phases branch must not crash and must
     emit the full phase-column schema (ADVICE r2 medium: lpi[0] IndexError
@@ -294,33 +262,3 @@ def test_dq_checks_planted_dirty_corpus(tmp_path, ray_session):
     s = con.execute(e.oracle_sql()["dq_checks"]).df().sort_values(
         "check_name").reset_index(drop=True)
     pd.testing.assert_frame_equal(r, s[r.columns.tolist()], check_dtype=False)
-
-
-def test_sketch_dd_bounds_no_positive_values(tmp_path, ray_session):
-    """A corpus whose values are all NULL or <= 0 must bound vacuously
-    (TRUE flags, NULL true quantile) and match the oracle's aggregate
-    over the empty filtered set — not crash on the schema-less
-    zero-row partial frame."""
-    import duckdb
-
-    import __ray_entry__ as e
-
-    ev = pd.DataFrame(
-        {"event_id": range(6),
-         "ts": pd.date_range("2024-01-01", periods=6, freq="h").astype("datetime64[us]"),
-         "user_id": [1, 1, 2, 2, 3, 3],
-         "event_type": "click",
-         "value": [0.0, -1.0, None, 0.0, None, -2.5],
-         "props": "{}"}
-    )
-    d = tmp_path / "noposev"
-    d.mkdir()
-    ev.to_parquet(d / "events.parquet", index=False)
-    r = e.queries()["sketch_dd_bounds"](str(d))
-    r = r.to_pandas() if not isinstance(r, pd.DataFrame) else r
-    assert r["ge_lo"].all() and r["le_hi"].all()
-    assert (r["n_pos"] == 0).all()
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')")
-    s = con.execute(e.oracle_sql()["sketch_dd_bounds"]).df()
-    assert len(s) == len(r) and s["ge_lo"].all()

@@ -138,3 +138,39 @@ def test_incremental_rejects_legacy_pickled_state():
             pickle.dump({"conv_00000": {"turns": 3}}, f)
     with pytest.raises(ValueError, match="rebuild the state dir"):
         window_features_incremental(PART, STATE, metrics=METRICS).count()
+
+
+def test_check_meta_write_is_atomic(tmp_path, monkeypatch):
+    """A meta write that fails midway must leave the previous meta intact:
+    an in-place write would leave a truncated file, and every later run
+    would die on a JSONDecodeError instead of applying the guards."""
+    import json
+    import os
+
+    import pytest
+
+    from nfl_feature_store_ray.state.incremental import STATE_FORMAT, _check_meta
+
+    state = str(tmp_path)
+    meta = {"state_format": STATE_FORMAT, "partitions": ["part-00000.parquet"],
+            "metrics": ["value"], "phases": []}
+    grown = dict(meta, partitions=["part-00000.parquet", "part-00001.parquet"])
+    real_dump, calls = json.dump, []
+
+    def dump_fails_on_second_call(obj, f, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            f.write('{"state_')
+            raise OSError("disk full")
+        real_dump(obj, f, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_fails_on_second_call)
+    _check_meta(state, meta)
+    meta_path = os.path.join(state, "_incremental_meta.json")
+    with open(meta_path, "rb") as f:
+        first = f.read()
+    with pytest.raises(OSError, match="disk full"):
+        _check_meta(state, grown)
+    with open(meta_path, "rb") as f:
+        assert f.read() == first
+    _check_meta(state, meta)

@@ -35,7 +35,7 @@ def test_ntile_rule_matches_duckdb():
 
 def _quantile_disc_rule(n: int, q: float) -> int:
     """The engine's quantile_disc selection (w_quartile_bucket,
-    winsorize_day, the DDSketch rank): 0-based index of 1-based rank
+    winsorize_day): 0-based index of 1-based rank
     ceil(q*n)."""
     return max(1, int(np.ceil(q * n))) - 1
 
