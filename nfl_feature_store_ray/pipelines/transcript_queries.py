@@ -2224,7 +2224,7 @@ ORACLES["percentile_day"] = SQL_PERCENTILE_DAY
 # ---------------------------------------------------------------------------
 # Toleranced as-of join: same sides as asof_daily, but a match only counts
 # if the day summary closed within 2 days of the turn — the "stale feature
-# vectors must not backfill" guard (merge_asof tolerance; SQL = ASOF match
+# vectors must not backfill" guard (asof_join tolerance; SQL = ASOF match
 # then distance filter). Rides the shared one-pass side setup.
 # ---------------------------------------------------------------------------
 ASOF_TOL_DAYS = 2

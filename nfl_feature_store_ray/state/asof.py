@@ -9,22 +9,38 @@ t' < t (strict by default — shift semantics, zero temporal leakage).
 
 Execution shape: both sides are hash-bucketed on the key (same
 deterministic hash as the window spine, so one partitioning key is reused
-across stages); sides are schema-aligned, tagged, and unioned so ONE
-shuffle co-locates them; within each bucket a single vectorized
-``pandas.merge_asof(by=key)`` performs the sorted merge. No broadcast, no
-global sort; at 100 TB each bucket streams independently.
+across stages); each side is tagged in Arrow (colliding right columns
+renamed, an int8 side column appended) and the two are unioned so ONE
+shuffle co-locates them. Each bucket reaches polars as Arrow, where one
+``DataFrame.join_asof(by=key)`` performs the sorted merge (the sorted-merge
+setting of *Computing Complex Temporal Join Queries Efficiently*, SIGMOD
+2022). No broadcast, no global sort, no pandas; at 100 TB each bucket
+streams independently.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
 from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, with_bucket
+from nfl_feature_store_ray.state.window_kernel_pl import _pl
 
 _SIDE_COL = "_asof_side"
+_R_ON = "_asof_r_on"  # the matched right row's `on`, for the nearest pick
+_FWD = "_asof_fwd_"  # prefix of the forward scan's columns
+
+
+def _arrow_types(ds: ray.data.Dataset) -> dict:
+    """Column -> Arrow type of ``ds``; None where Ray reports a pandas
+    object dtype, whose Arrow type is only known once a block exists."""
+    schema = ds.schema()
+    return {
+        n: t if isinstance(t, pa.DataType) else None
+        for n, t in zip(schema.names, schema.types)
+    }
 
 
 def asof_join(
@@ -48,8 +64,8 @@ def asof_join(
     the future by construction, so it is never used for feature
     backfill, only for label/annotation attachment. ``nearest`` picks the
     closer of the two directions per left row with the equal-distance tie
-    PINNED to backward (pandas leaves it unspecified) — both scans run in
-    the same bucket task, so it still costs one shuffle.
+    PINNED to backward (polars and pandas leave it unspecified) — both
+    scans run in the same bucket task, so it still costs one shuffle.
 
     ``tolerance`` (a ``pd.Timedelta`` when ``on`` is a timestamp) bounds
     the match distance: a left row whose closest right row is farther than
@@ -57,82 +73,70 @@ def asof_join(
     guard rail.
 
     Right-side value columns that collide with left columns get ``suffix``.
-    Integer value columns may come back as float64 (null-fill promotion on
-    unmatched rows) — documented, deterministic.
+    Every column keeps its input Arrow type; unmatched rows get nulls. A
+    null ``on`` value on either side raises ``ValueError``.
     """
-    left_schema = left.schema()
-    right_schema = right.schema()
-    left_cols = list(left_schema.names)
-    right_cols = list(right_schema.names)
-    shared_val_cols = (set(left_cols) & set(right_cols)) - {key, on}
-    rename_map = {c: c + suffix for c in shared_val_cols}
-    right_out = [rename_map.get(c, c) for c in right_cols if c not in (key, on)]
-    all_cols = left_cols + right_out  # key/on come from the left list
+    left_types = _arrow_types(left)
+    right_types = _arrow_types(right)
+    left_cols = list(left_types)
+    rename = {c: c + suffix for c in (set(left_cols) & set(right_types)) - {key, on}}
+    right_vals = {rename.get(c, c): t for c, t in right_types.items() if c not in (key, on)}
+    right_out = list(right_vals)
+    out_types = {**left_types, **right_vals}
 
-    # schema types are pyarrow DataTypes for Arrow blocks, numpy dtypes for
-    # pandas blocks — normalize both to pandas dtypes
-    left_dtypes = {
-        n: (t.to_pandas_dtype() if hasattr(t, "to_pandas_dtype") else t)
-        for n, t in zip(left_schema.names, left_schema.types)
-    }
+    def tagged(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
+        def tag(batch: pa.Table) -> pa.Table:
+            if side:
+                batch = batch.rename_columns([rename.get(c, c) for c in batch.column_names])
+            return batch.append_column(_SIDE_COL, pa.array(np.full(batch.num_rows, side, np.int8)))
 
-    def tag(side: int):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            if side == 1:
-                batch = batch.rename(columns=rename_map)
-            batch = batch.reindex(columns=all_cols)  # align schemas for union
-            batch[_SIDE_COL] = np.int8(side)
-            return batch
+        return with_bucket(ds.map_batches(tag, batch_format="pyarrow"), key, num_buckets)
 
-        return fn
+    def merge_bucket(bucket: pa.Table) -> pa.Table:
+        pl = _pl()
+        # a bucket fed by one side only lacks the other side's columns
+        present = set(bucket.schema.names)
+        for c, t in out_types.items():
+            if c not in present:
+                bucket = bucket.append_column(c, pa.nulls(bucket.num_rows, t or pa.null()))
+        if bucket.column(on).null_count:
+            raise ValueError(f"asof_join: the '{on}' column contains null values")
+        # one lazy plan, collected once: the bucket's few hundred rows make
+        # per-call overhead, not the rows, the cost of each eager step
+        rows = pl.from_arrow(bucket).lazy()
+        is_left = pl.col(_SIDE_COL) == 0
+        lf = rows.filter(is_left).select(left_cols).sort([on, key], maintain_order=True)
+        rf = rows.filter(~is_left).select([key, on] + right_out)
+        rf = rf.sort([on, key], maintain_order=True)
 
-    l_tagged = with_bucket(left.map_batches(tag(0), batch_format="pandas"), key, num_buckets)
-    r_tagged = with_bucket(right.map_batches(tag(1), batch_format="pandas"), key, num_buckets)
-    both = l_tagged.union(r_tagged)
-
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        is_left = group[_SIDE_COL].to_numpy() == 0
-        lf = group.loc[is_left, left_cols].reset_index(drop=True)
-        rf = group.loc[~is_left, [key, on] + right_out].reset_index(drop=True)
-        # undo union null-fill dtype promotion on the left side
-        for c, dt in left_dtypes.items():
-            if lf[c].dtype != dt and not lf[c].isna().any():
-                try:
-                    lf[c] = lf[c].astype(dt)
-                except (TypeError, ValueError):
-                    pass
-        lf = lf.sort_values([on, key], kind="mergesort")
-        rf = rf.sort_values([on, key], kind="mergesort")
-        if direction == "nearest":
-            # pandas' own direction='nearest' leaves the equal-distance
-            # tie unspecified; pin it explicitly (tie -> backward) so the
-            # result is engine-independent and SQL-expressible as two ASOF
-            # joins + a distance CASE. Same ONE shuffle — both scans run
-            # inside this bucket task.
-            rf2 = rf.assign(_r_on=rf[on])
-            bb = pd.merge_asof(lf, rf2, on=on, by=key, direction="backward",
-                               allow_exact_matches=allow_exact_matches,
-                               tolerance=tolerance)
-            ff = pd.merge_asof(lf, rf2, on=on, by=key, direction="forward",
-                               allow_exact_matches=allow_exact_matches,
-                               tolerance=tolerance)
-            lts = lf[on].reset_index(drop=True)
-            use_b = bb["_r_on"].notna() & (
-                ff["_r_on"].isna()
-                | ((lts - bb["_r_on"]) <= (ff["_r_on"] - lts))
+        def join(r, strategy: str):
+            return lf.join_asof(
+                r, on=on, by=key, strategy=strategy,
+                allow_exact_matches=allow_exact_matches, tolerance=tolerance,
+                check_sortedness=False,  # both sides sorted just above
             )
-            out = bb.drop(columns=["_r_on"])
-            for c in right_out:
-                out[c] = bb[c].where(use_b, ff[c])
-            return out
-        return pd.merge_asof(
-            lf,
-            rf,
-            on=on,
-            by=key,
-            allow_exact_matches=allow_exact_matches,
-            direction=direction,
-            tolerance=tolerance,
-        )
 
-    return both.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pandas")
+        if direction == "nearest":
+            # two explicit scans pin the equal-distance tie to backward, so
+            # the result is SQL-expressible as two ASOF joins + a distance
+            # CASE. Same ONE shuffle — both scans run in this bucket task.
+            rf = rf.with_columns(pl.col(on).alias(_R_ON))
+            fwd = join(rf, "forward").select(pl.col([_R_ON] + right_out).name.prefix(_FWD))
+            b_on, f_on, t = pl.col(_R_ON), pl.col(_FWD + _R_ON), pl.col(on)
+            use_b = b_on.is_not_null() & (f_on.is_null() | ((t - b_on) <= (f_on - t)))
+            out = pl.concat([join(rf, "backward"), fwd], how="horizontal").select(
+                left_cols + [pl.when(use_b).then(pl.col(c)).otherwise(pl.col(_FWD + c)).alias(c)
+                             for c in right_out]
+            )
+        else:
+            out = join(rf, direction)
+        out = out.collect().to_arrow()
+        # polars hands strings back as large_string: restore the input types
+        for i, got in enumerate(out.schema):
+            want = out_types[got.name] or bucket.schema.field(got.name).type
+            if got.type != want:
+                out = out.set_column(i, got.name, out.column(i).cast(want))
+        return out
+
+    both = tagged(left, 0).union(tagged(right, 1))
+    return both.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pyarrow")

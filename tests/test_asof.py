@@ -2,6 +2,8 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from nfl_feature_store_ray.state.asof import asof_join
@@ -109,3 +111,135 @@ def test_asof_nearest_tie_pinned_backward():
     np.testing.assert_allclose(
         out["v"].to_numpy(), [1.0, 3.0, 1.0, 3.0, np.nan], equal_nan=True
     )
+
+
+def _blocks(ds) -> list:
+    return list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+
+
+def _pandas_asof(left, right, **kw):
+    return pd.merge_asof(
+        left.sort_values(["ts", "conv_id"], kind="mergesort"),
+        right.sort_values(["ts", "conv_id"], kind="mergesort"),
+        on="ts", by="conv_id", **kw,
+    )
+
+
+def _assert_matches_pandas(out: pd.DataFrame, expected: pd.DataFrame, key, values):
+    o, e = (d.sort_values(key, kind="mergesort").reset_index(drop=True) for d in (out, expected))
+    assert list(o.columns) == list(e.columns)
+    assert len(o) == len(e)
+    for c in values:
+        np.testing.assert_allclose(
+            o[c].to_numpy(dtype=float), e[c].to_numpy(dtype=float),
+            rtol=0, atol=0, equal_nan=True,
+        )
+
+
+def test_asof_forward_matches_pandas():
+    events, feats = _frames()
+    for exact in (False, True):
+        out = asof_join(
+            rd.from_pandas(events), rd.from_pandas(feats), num_buckets=4,
+            direction="forward", allow_exact_matches=exact,
+        ).to_pandas()
+        expected = _pandas_asof(events, feats, direction="forward", allow_exact_matches=exact)
+        _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
+
+
+def test_asof_tolerance_matches_pandas():
+    events, feats = _frames()
+    # a match exactly at the tolerance distance counts (inclusive bound)
+    events.loc[1, ["conv_id", "ts"]] = [
+        feats.loc[0, "conv_id"], feats.loc[0, "ts"] + pd.Timedelta(hours=6)
+    ]
+    for direction in ("backward", "forward"):
+        out = asof_join(
+            rd.from_pandas(events), rd.from_pandas(feats), num_buckets=4,
+            direction=direction, tolerance=pd.Timedelta(hours=6),
+        ).to_pandas()
+        expected = _pandas_asof(
+            events, feats, direction=direction, allow_exact_matches=False,
+            tolerance=pd.Timedelta(hours=6),
+        )
+        assert expected["feat"].notna().any() and expected["feat"].isna().any()
+        _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
+
+
+def test_asof_suffix_renames_colliding_right_columns():
+    events, feats = _frames()
+    left = events.assign(feat=-1.0)
+    out = asof_join(
+        rd.from_pandas(left), rd.from_pandas(feats), num_buckets=4, suffix="_right"
+    ).to_pandas()
+    expected = _pandas_asof(left, feats, allow_exact_matches=False, suffixes=("", "_right"))
+    assert list(out.columns) == ["conv_id", "ts", "ev", "feat", "feat_right"]
+    _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat", "feat_right"])
+
+
+def test_asof_right_rows_sharing_a_ts():
+    """Several right rows at one ts: backward takes the last of them and
+    forward the first, in right-input order (pandas merge_asof's rule)."""
+    events, feats = _frames()
+    first = feats.iloc[::3].assign(feat=lambda d: d["feat"] + 10.0)
+    last = feats.iloc[1::3].assign(feat=lambda d: d["feat"] + 20.0)
+    right = pd.concat([first, feats, last], ignore_index=True)
+    for direction, dup_lo in (("backward", 20.0), ("forward", 10.0)):
+        out = asof_join(
+            rd.from_pandas(events), rd.from_pandas(right), num_buckets=4,
+            direction=direction, allow_exact_matches=True,
+        ).to_pandas()
+        expected = _pandas_asof(events, right, direction=direction, allow_exact_matches=True)
+        assert expected["feat"].between(dup_lo, dup_lo + 1.0).any()
+        _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
+
+
+def test_asof_output_types_are_the_input_types():
+    """Unmatched integer right columns stay integers with nulls (no
+    float64 promotion), left columns keep their Arrow types (string, not
+    polars' large_string), and every output block has one schema."""
+    events, feats = _frames()
+    left = pa.Table.from_pandas(feats, preserve_index=False)
+    blocks = _blocks(
+        asof_join(rd.from_arrow(left), rd.from_pandas(events), num_buckets=8)
+    )
+    schemas = {b.schema for b in blocks}
+    assert len(schemas) == 1
+    schema = schemas.pop()
+    assert schema.names == ["conv_id", "ts", "feat", "ev"]
+    assert schema.field("conv_id").type == pa.string()
+    assert schema.field("ts").type == left.schema.field("ts").type
+    assert schema.field("feat").type == pa.float64()
+    assert schema.field("ev").type == pa.int64()
+    ev = pa.concat_tables(blocks).column("ev")
+    assert 0 < ev.null_count < len(ev)
+
+
+def test_asof_one_sided_buckets():
+    """Buckets that receive rows from the left side only still return every
+    left row, with typed null right columns."""
+    base = pd.Timestamp("2024-01-01")
+    left = pd.DataFrame(
+        {"conv_id": [f"c{i}" for i in range(40)], "ts": base + pd.Timedelta(hours=1),
+         "k": np.arange(40)}
+    )
+    one = pd.DataFrame({"conv_id": ["c0"], "ts": [base], "v": [7]})
+    empty = one.iloc[:0]
+    for right, matches in ((one, 1), (empty, 0)):
+        blocks = _blocks(
+            asof_join(rd.from_pandas(left), rd.from_pandas(right), num_buckets=64)
+        )
+        out = pa.concat_tables(blocks)
+        assert out.num_rows == 40
+        assert out.column_names == ["conv_id", "ts", "k", "v"]
+        assert out.num_rows - out.column("v").null_count == matches
+        assert {b.schema.field("v").type for b in blocks} == {pa.int64()}
+
+
+def test_asof_null_on_value_raises():
+    events, feats = _frames()
+    nulled_events = events.assign(ts=events["ts"].where(events.index != 3))
+    nulled_feats = feats.assign(ts=feats["ts"].where(feats.index != 3))
+    for left, right in ((nulled_events, feats), (events, nulled_feats)):
+        with pytest.raises(ValueError, match="null"):
+            asof_join(rd.from_pandas(left), rd.from_pandas(right), num_buckets=4).materialize()
