@@ -37,7 +37,7 @@ _W = "PARTITION BY conv_id ORDER BY ts, _seq"
 
 def _daily_cents_partial(df: pd.DataFrame) -> pd.DataFrame:
     """Per-batch (day, conv) EXACT integer-cent sums (order-independent;
-    shared by the whole rank/zscore/percent-rank/share/quartile family).
+    shared by w_rank_day and day_concentration).
 
     NULL-aware (r03 ADVICE): NaN values are masked to 0 BEFORE the int64
     cast (an unmasked NaN wraps to INT64_MIN and poisons the group), and
@@ -62,13 +62,6 @@ def _final_day_cents(g: pd.DataFrame):
     d = g.groupby(["day", "conv_id"], as_index=False)[["xc", "nn"]].sum()
     xcf = np.where(d["nn"].to_numpy() > 0, d["xc"].to_numpy(np.float64), np.nan)
     return d, xcf
-
-
-def _nan_eq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise equality where NaN == NaN (SQL rank-tie semantics:
-    NULL keys tie with each other — verified against DuckDB DENSE_RANK /
-    CUME_DIST, see the round-4 NULL probes)."""
-    return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
 def _round6(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -1677,69 +1670,6 @@ ORACLES["agg_variance"] = SQL_AGG_VARIANCE
 
 
 # ---------------------------------------------------------------------------
-# per-day cross-conversation z-score of the daily value total — group-wise
-# feature normalization (the standard "scale within cohort" training prep),
-# built on the same exact-integer moments as agg_variance
-# ---------------------------------------------------------------------------
-def q_zscore_day(sf_dir: str):
-    """Per (day, conv): the conversation's daily value total z-scored
-    against all conversations active that day. NULL when the day has one
-    conversation or zero variance. Partial (day, conv) cent-sums per
-    batch, ONE day-keyed shuffle co-locates whole days; moments and the
-    z division are computed in the bucket with the same float-op order as
-    the SQL (each step correctly rounded -> hash-exact)."""
-    ts = transcripts_from_events(sf_dir)
-
-    def zscore(g: pd.DataFrame) -> pd.DataFrame:
-        # NULL-aware: a masked all-NULL group carries xc=0 / nn=0, which
-        # contributes 0 to sx and sx2 — exactly SQL SUM's NULL-skip — while
-        # n (COUNT(*)) still counts the group row; its own z/day_value are
-        # NaN via xcf.
-        d, xcf = _final_day_cents(g)
-        xc = d["xc"].to_numpy(np.int64)
-        d = d.assign(_xc2=xc * xc)
-        grp = d.groupby("day", sort=False)
-        n = grp["xc"].transform("size").to_numpy(np.int64)
-        sx = grp["xc"].transform("sum").to_numpy(np.int64)
-        sx2 = grp["_xc2"].transform("sum").to_numpy(np.int64)
-        num = n * sx2 - sx * sx
-        nf = n.astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = sx / nf
-            std = np.sqrt(num.astype(np.float64) / (nf * (nf - 1.0)))
-            z = (xcf - mean) / std
-        z = np.where((n > 1) & (num > 0), z, np.nan)
-        return pd.DataFrame(
-            {"day": d["day"].astype("datetime64[us]"), "conv_id": d["conv_id"],
-             "day_value": round_half_away(xcf / 100.0, 6),
-             "z_day": round_half_away(z, 6)}
-        )
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(partials, zscore, key="day",
-                            sort_cols=["day", "conv_id"], num_buckets=32)
-
-
-SQL_ZSCORE_DAY = f"""{_T},
-d AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         CAST(SUM(ROUND(value * 100)) AS BIGINT) AS xc
-  FROM t GROUP BY 1, 2
-),
-s AS (SELECT day, COUNT(*) AS n, SUM(xc) AS sx, SUM(xc * xc) AS sx2 FROM d GROUP BY day)
-SELECT d.day, d.conv_id, ROUND(d.xc / 100.0, 6) AS day_value,
-       ROUND(CASE WHEN s.n > 1 AND (s.n * s.sx2 - s.sx * s.sx) > 0 THEN
-         (d.xc - s.sx / CAST(s.n AS DOUBLE))
-         / sqrt((s.n * s.sx2 - s.sx * s.sx) / (CAST(s.n AS DOUBLE) * (s.n - 1)))
-       END, 6) AS z_day
-FROM d JOIN s USING (day)
-"""
-
-QUERIES["w_zscore_day"] = q_zscore_day
-ORACLES["w_zscore_day"] = SQL_ZSCORE_DAY
-
-
-# ---------------------------------------------------------------------------
 # conversation role-transition matrix — corpus-wide counts of (prev_role,
 # role) bigrams (never across conversation boundaries): the Markov-chain
 # summary of dialogue structure (how often does user->tool happen, etc.)
@@ -1834,60 +1764,11 @@ ORACLES["w_cummax"] = SQL_CUMMAX
 
 
 # ---------------------------------------------------------------------------
-# per-day percent rank (uniform [0,1] normalization of the daily ranks) —
-# PERCENT_RANK parity: (rank-1)/(n-1) under a UNIQUE pinned ordering
-# (day_value DESC, conv_id), 0.0 for single-conversation days (DuckDB
-# convention, verified) — one int division, hash-exact
-# ---------------------------------------------------------------------------
-def q_percent_rank_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def prank(g: pd.DataFrame) -> pd.DataFrame:
-        # NULL-aware: NaN day_values sort last (pandas na_position ==
-        # DuckDB NULLS LAST) and still receive a percent rank — SQL
-        # PERCENT_RANK ranks NULL-ordered rows, it does not skip them.
-        d, xcf = _final_day_cents(g)
-        d["day_value"] = round_half_away(xcf / 100.0, 6)
-        d = d.sort_values(["day", "day_value", "conv_id"],
-                          ascending=[True, False, True], kind="mergesort")
-        grp = d.groupby("day", sort=False)
-        rn = grp.cumcount().to_numpy(np.int64)  # 0-based = rank - 1
-        n = grp["conv_id"].transform("size").to_numpy(np.int64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pr = np.where(n > 1, rn / (n - 1.0), 0.0)
-        return pd.DataFrame(
-            {"day": d["day"].astype("datetime64[us]"), "conv_id": d["conv_id"],
-             "day_value": d["day_value"],
-             "pct_rank": round_half_away(pr, 6)}
-        )
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(partials, prank, key="day",
-                            sort_cols=["day", "conv_id"], num_buckets=32)
-
-
-SQL_PERCENT_RANK_DAY = f"""{_T},
-d AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         ROUND(CAST(SUM(ROUND(value * 100)) AS BIGINT) / 100.0, 6) AS day_value
-  FROM t GROUP BY 1, 2
-)
-SELECT day, conv_id, day_value,
-       ROUND(PERCENT_RANK() OVER (
-         PARTITION BY day ORDER BY day_value DESC, conv_id), 6) AS pct_rank
-FROM d
-"""
-
-QUERIES["w_percent_rank_day"] = q_percent_rank_day
-ORACLES["w_percent_rank_day"] = SQL_PERCENT_RANK_DAY
-
-
-# ---------------------------------------------------------------------------
 # expanding correlation between the value metric and the turn's token count
 # over strictly-prior turns — cross-signal second-moment feature, computed
 # from EXACT integer windowed moments (n, Σx, Σy, Σxy, Σx², Σy²); the float
 # tail is num / (sqrt(denx) * sqrt(deny)) with the op order mirrored in the
-# SQL, so the gate is hash-exact like agg_variance / w_zscore_day
+# SQL, so the gate is hash-exact like agg_variance
 # ---------------------------------------------------------------------------
 def q_expanding_corr(sf_dir: str):
     ts_ds = transcripts_from_events(sf_dir)
@@ -2066,7 +1947,7 @@ def q_ntile_day(sf_dir: str):
     B = 4
 
     def bucket_ntile(g: pd.DataFrame) -> pd.DataFrame:
-        # exact integer-cent key (r03 ADVICE); NaN day_values sort last
+        # exact integer-cent key; NaN day_values sort last
         # and still get a tile — SQL NTILE tiles every row incl. NULLs
         d, xcf = _final_day_cents(g)
         d["day_value"] = round_half_away(xcf / 100.0, 6)
@@ -2147,78 +2028,6 @@ FROM t GROUP BY conv_id
 
 QUERIES["w_conv_text"] = q_conv_text
 ORACLES["w_conv_text"] = SQL_CONV_TEXT
-
-
-# ---------------------------------------------------------------------------
-# Exact per-day continuous percentiles (quantile_cont / type-7
-# interpolation) via BOUNDED-DOMAIN histograms — the scale-right exact-
-# quantile shape: the metric is cents-quantized, so each batch ships one
-# (day, cents)->count partial instead of raw turns, the day shuffle moves
-# O(days x distinct-cents) rows, and the per-day
-# selection walks a <=10001-bin cumulative histogram. Quartile qs only:
-# with q in {.25,.5,.75} every interpolation intermediate is an exact
-# integer quarter-cent, so engine and DuckDB produce IDENTICAL doubles
-# (verified over 2000 randomized histograms; q=0.9's inexact frac already
-# drifts an ulp).
-# ---------------------------------------------------------------------------
-def _day_cents_hist_partial(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-batch (day, cents) -> count partial, shared by percentile_day
-    and w_mad_day. NULL values are DROPPED before the int cast (NaN would
-    wrap to INT64_MIN, a garbage first bin) — matching the oracles'
-    quantile/median/mad NULL-skip semantics; n therefore counts non-null
-    values only (COUNT(vc)) on both sides."""
-    v = df["value"].to_numpy(dtype="float64")
-    m = ~np.isnan(v)
-    d = pd.DataFrame(
-        {"day": df["ts"].astype("datetime64[us]").dt.floor("D")[m],
-         "vc": np.rint(v[m] * 100.0).astype(np.int64)}
-    )
-    return d.groupby(["day", "vc"], as_index=False).agg(cnt=("vc", "size"))
-
-
-def q_percentile_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
-        h = g.groupby(["day", "vc"], as_index=False)["cnt"].sum()
-        h = h.sort_values(["day", "vc"], kind="mergesort")
-        rows = []
-        for day, dg in h.groupby("day", sort=False):
-            vals = dg["vc"].to_numpy(np.float64)
-            cum = dg["cnt"].to_numpy(np.int64).cumsum()
-            n = int(cum[-1])
-            row = {"day": day, "n": n}
-            for q, name in ((0.25, "p25"), (0.5, "p50"), (0.75, "p75")):
-                hh = q * (n - 1)
-                lo = int(np.floor(hh))
-                vlo = vals[np.searchsorted(cum, lo + 1)]
-                vhi = vals[np.searchsorted(cum, int(np.ceil(hh)) + 1)]
-                row[name] = round_half_away(
-                    np.float64((vlo + (vhi - vlo) * (hh - lo)) / 100.0), 6
-                )
-            rows.append(row)
-        out = pd.DataFrame(rows)
-        out["day"] = out["day"].astype("datetime64[us]")
-        out["n"] = out["n"].astype("int64")
-        return out[["day", "n", "p25", "p50", "p75"]]
-
-    partials = ts.map_batches(_day_cents_hist_partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, bucket_final, key="day", sort_cols=["day", "vc"], num_buckets=32
-    )
-
-
-SQL_PERCENTILE_DAY = f"""{_T},
-c AS (SELECT date_trunc('day', ts) AS day, ROUND(value * 100) AS vc FROM t)
-SELECT day, COUNT(vc) AS n,
-       ROUND(quantile_cont(vc, 0.25) / 100.0, 6) AS p25,
-       ROUND(quantile_cont(vc, 0.50) / 100.0, 6) AS p50,
-       ROUND(quantile_cont(vc, 0.75) / 100.0, 6) AS p75
-FROM c GROUP BY day
-"""
-
-QUERIES["percentile_day"] = q_percentile_day
-ORACLES["percentile_day"] = SQL_PERCENTILE_DAY
 
 
 # ---------------------------------------------------------------------------
@@ -2399,191 +2208,6 @@ FROM f
 
 QUERIES["w_expanding_distinct"] = q_expanding_distinct
 ORACLES["w_expanding_distinct"] = SQL_EXPANDING_DISTINCT
-
-
-# ---------------------------------------------------------------------------
-# Robust statistics per day: median, MAD (median absolute deviation), and
-# 3-MAD outlier counts — the robust anomaly-screen family, computed ENTIRELY
-# from the same bounded (day, cents) histograms as percentile_day: the
-# median walks the cumulative histogram; the deviation distribution is a
-# TRANSFORM of the same histogram (|v - med| with duplicate keys re-merged),
-# never a second pass over rows; outliers are a masked count over histogram
-# bins. On integer cents every intermediate (medians interpolate to exact
-# halves, 3*MAD) is exact in doubles, so the gate is hash-exact vs DuckDB's
-# median()/mad() (probed over 400 randomized vectors before gating).
-# ---------------------------------------------------------------------------
-def _hist_median(vals: np.ndarray, cnts: np.ndarray) -> float:
-    cum = cnts.cumsum()
-    n = int(cum[-1])
-    lo = vals[np.searchsorted(cum, (n + 1) // 2)]
-    hi = vals[np.searchsorted(cum, n // 2 + 1)]
-    return (lo + hi) / 2.0
-
-
-def q_mad_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
-        h = g.groupby(["day", "vc"], as_index=False)["cnt"].sum()
-        h = h.sort_values(["day", "vc"], kind="mergesort")
-        rows = []
-        for day, dg in h.groupby("day", sort=False):
-            vals = dg["vc"].to_numpy(np.float64)
-            cnts = dg["cnt"].to_numpy(np.int64)
-            med = _hist_median(vals, cnts)
-            dev = np.abs(vals - med)
-            order = np.argsort(dev, kind="stable")
-            dvals, dcnts = dev[order], cnts[order]
-            # re-merge duplicate deviation keys (v below and above med)
-            uniq, inv = np.unique(dvals, return_inverse=True)
-            mcnts = np.bincount(inv, weights=dcnts).astype(np.int64)
-            mad = _hist_median(uniq, mcnts)
-            n_out = int(cnts[dev > 3.0 * mad].sum())
-            rows.append(
-                {
-                    "day": day,
-                    "n": int(cnts.sum()),
-                    "med": round_half_away(np.float64(med / 100.0), 6),
-                    "mad": round_half_away(np.float64(mad / 100.0), 6),
-                    "n_outliers": n_out,
-                }
-            )
-        out = pd.DataFrame(rows)
-        out["day"] = out["day"].astype("datetime64[us]")
-        out["n"] = out["n"].astype("int64")
-        out["n_outliers"] = out["n_outliers"].astype("int64")
-        return out
-
-    partials = ts.map_batches(_day_cents_hist_partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, bucket_final, key="day", sort_cols=["day", "vc"], num_buckets=32
-    )
-
-
-SQL_MAD_DAY = f"""{_T},
-c AS (SELECT date_trunc('day', ts) AS day, ROUND(value * 100) AS vc FROM t),
-m AS (SELECT day, median(vc) AS medc, mad(vc) AS madc, COUNT(vc) AS n FROM c GROUP BY day)
-SELECT m.day, m.n,
-       ROUND(m.medc / 100.0, 6) AS med,
-       ROUND(m.madc / 100.0, 6) AS mad,
-       CAST(SUM(CASE WHEN ABS(c.vc - m.medc) > 3 * m.madc THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_outliers
-FROM c JOIN m USING (day)
-GROUP BY m.day, m.n, m.medc, m.madc
-"""
-
-QUERIES["w_mad_day"] = q_mad_day
-ORACLES["w_mad_day"] = SQL_MAD_DAY
-
-
-# ---------------------------------------------------------------------------
-# CUME_DIST within each day (completes the rank-family: rank / percent_rank
-# / ntile / cume_dist): fraction of the day's conversations with day_value
-# <= this one's. Vectorized per bucket: sort by (day, value) and use the
-# LAST index of each tied value run (searchsorted-right on the run ends).
-# The ratio rows/n is one exact IEEE division of small ints — identical on
-# both engines, rounded to 6 on both sides anyway.
-# ---------------------------------------------------------------------------
-def q_cume_dist_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_cume(g: pd.DataFrame) -> pd.DataFrame:
-        # exact integer-cent key (r03 ADVICE); NaN day_values sort last and
-        # tie with EACH OTHER (SQL: NULL peers share a CUME_DIST frame —
-        # pinned by the round-4 DuckDB probe), hence the _nan_eq run test
-        d, xcf = _final_day_cents(g)
-        d["day_value"] = round_half_away(xcf / 100.0, 6)
-        d = d.sort_values(["day", "day_value", "conv_id"], kind="mergesort").reset_index(
-            drop=True
-        )
-        n = d.groupby("day", sort=False)["conv_id"].transform("size").to_numpy(np.int64)
-        pos = d.groupby("day", sort=False).cumcount().to_numpy(np.int64)
-        # count of peers with value <= mine = 1 + last position of my tied
-        # run: mark run starts, cumsum into run ids, take each run's max pos
-        same_as_next = np.zeros(len(d), dtype=bool)
-        if len(d) > 1:
-            dv = d["day_value"].to_numpy(np.float64)
-            same_as_next[:-1] = (
-                (d["day"].to_numpy()[:-1] == d["day"].to_numpy()[1:])
-                & _nan_eq(dv[:-1], dv[1:])
-            )
-        run_id = np.concatenate([[0], (~same_as_next)[:-1].cumsum()])
-        run_end_pos = pd.Series(pos).groupby(run_id).transform("max").to_numpy(np.int64)
-        d["cume_dist"] = round_half_away((run_end_pos + 1) / n, 6)
-        d["day"] = d["day"].astype("datetime64[us]")
-        return d[["day", "conv_id", "day_value", "cume_dist"]]
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, bucket_cume, key="day", sort_cols=["day", "conv_id"], num_buckets=32
-    )
-
-
-SQL_CUME_DIST_DAY = f"""{_T},
-daily AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS day_value
-  FROM t GROUP BY 1, 2
-)
-SELECT day, conv_id, day_value,
-       ROUND(CUME_DIST() OVER (PARTITION BY day ORDER BY day_value), 6) AS cume_dist
-FROM daily
-"""
-
-QUERIES["w_cume_dist_day"] = q_cume_dist_day
-ORACLES["w_cume_dist_day"] = SQL_CUME_DIST_DAY
-
-
-# ---------------------------------------------------------------------------
-# Grouped top-k (per-day LIMIT — the QUALIFY / row_number<=k shape): each
-# day's top-3 conversations by value sum. Same one-shuffle spine as
-# q_rank_day with an in-bucket head filter — per-batch PARTIAL top-k per
-# day would also work at extreme cardinality, but the day bucket already
-# holds only (day, conv) partials, not raw turns.
-# ---------------------------------------------------------------------------
-TOPK_PER_DAY = 3
-
-
-def q_topk_per_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_top(g: pd.DataFrame) -> pd.DataFrame:
-        # exact integer-cent ranking key (r03 ADVICE); NaN day_values sort
-        # last but STILL rank — a <k-conversation day surfaces its NULL
-        # rows in the top-k exactly as SQL ROW_NUMBER does
-        d, xcf = _final_day_cents(g)
-        d["day_value"] = round_half_away(xcf / 100.0, 6)
-        d = d.sort_values(
-            ["day", "day_value", "conv_id"], ascending=[True, False, True], kind="mergesort"
-        )
-        d["day_rank"] = (d.groupby("day").cumcount() + 1).astype("int32")
-        d = d[d["day_rank"] <= TOPK_PER_DAY]
-        d["day"] = d["day"].astype("datetime64[us]")
-        return d[["day", "conv_id", "day_value", "day_rank"]]
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, bucket_top, key="day", sort_cols=["day", "conv_id"], num_buckets=32
-    )
-
-
-SQL_TOPK_PER_DAY = f"""{_T},
-daily AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS day_value
-  FROM t GROUP BY 1, 2
-),
-r AS (
-  SELECT day, conv_id, day_value,
-         CAST(ROW_NUMBER() OVER (PARTITION BY day ORDER BY day_value DESC, conv_id ASC)
-              AS INTEGER) AS day_rank
-  FROM daily
-)
-SELECT * FROM r WHERE day_rank <= {TOPK_PER_DAY}
-"""
-
-QUERIES["topk_per_day"] = q_topk_per_day
-ORACLES["topk_per_day"] = SQL_TOPK_PER_DAY
 
 
 # ---------------------------------------------------------------------------
@@ -2919,52 +2543,6 @@ ORACLES["w_response_latency"] = SQL_RESPONSE_LATENCY
 
 
 # ---------------------------------------------------------------------------
-# ratio-to-report: each conversation's share of its day's total value —
-# the classic "percent of group total" window (SUM OVER PARTITION without
-# ORDER). Exact integer cent totals on both levels; ONE float division,
-# mirrored in the SQL. Same one-day-shuffle spine as w_zscore_day.
-# ---------------------------------------------------------------------------
-def q_share_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def share(g: pd.DataFrame) -> pd.DataFrame:
-        # NULL-aware: masked zeros make tot == SQL's NULL-skipping SUM;
-        # the numerator uses xcf so a NULL conversation's share is NaN
-        # (and an all-NULL day's tot==0 path yields NaN, == SQL's NULL
-        # total making the CASE predicate NULL)
-        d, xcf = _final_day_cents(g)
-        tot = d.groupby("day", sort=False)["xc"].transform("sum").to_numpy(np.int64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sh = np.where(tot != 0, xcf / tot.astype(np.float64), np.nan)
-        return pd.DataFrame(
-            {"day": d["day"].astype("datetime64[us]"), "conv_id": d["conv_id"],
-             "day_value": round_half_away(xcf / 100.0, 6),
-             "share_day": round_half_away(sh, 6)}
-        )
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(partials, share, key="day",
-                            sort_cols=["day", "conv_id"], num_buckets=32)
-
-
-SQL_SHARE_DAY = f"""{_T},
-d AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         CAST(SUM(ROUND(value * 100)) AS BIGINT) AS xc
-  FROM t GROUP BY 1, 2
-)
-SELECT day, conv_id, ROUND(xc / 100.0, 6) AS day_value,
-       ROUND(CASE WHEN SUM(xc) OVER (PARTITION BY day) != 0 THEN
-         xc / CAST(SUM(xc) OVER (PARTITION BY day) AS DOUBLE)
-       END, 6) AS share_day
-FROM d
-"""
-
-QUERIES["w_share_day"] = q_share_day
-ORACLES["w_share_day"] = SQL_SHARE_DAY
-
-
-# ---------------------------------------------------------------------------
 # sequential pattern counts — MATCH_RECOGNIZE reduced to its common fixed
 # cases: per conversation, how often does (user -> assistant) adjacency and
 # the full (user -> assistant -> tool) trigram occur? Shifted role
@@ -3009,68 +2587,6 @@ FROM l GROUP BY conv_id
 
 QUERIES["w_pattern_count"] = q_pattern_count
 ORACLES["w_pattern_count"] = SQL_PATTERN_COUNT
-
-
-# ---------------------------------------------------------------------------
-# quantile-bucket feature discretization — assign each conversation-day
-# total to its day's quartile bucket (1..4): the standard ML binning prep.
-# Thresholds are DISCRETE order statistics (DuckDB quantile_disc rank rule
-# ceil(q*n), pinned by tests/test_quantile_rules.py) on exact integer
-# cents, so the bucket comparison is all-integer -> hash-exact. One day
-# shuffle; the whole day is co-located, so thresholds and bucketing happen
-# in one pass.
-# ---------------------------------------------------------------------------
-def q_quartile_bucket(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def bucketize(g: pd.DataFrame) -> pd.DataFrame:
-        # NULL-aware: quantile_disc thresholds use non-null day_values only
-        # (SQL skips NULLs); a NULL conversation — or every row of an
-        # all-NULL day — gets a NULL bucket. q_bucket is DOUBLE on both
-        # sides so the schema is stable whether or not NULLs occur.
-        d, xcf = _final_day_cents(g)
-        bucket = np.ones(len(d), dtype=np.float64)
-        for day, idx in d.groupby("day", sort=False).indices.items():
-            vv = xcf[idx]
-            v = np.sort(vv[~np.isnan(vv)])
-            n = len(v)
-            if n == 0:
-                bucket[idx] = np.nan
-                continue
-            for q in (0.25, 0.5, 0.75):
-                thr = v[max(1, int(np.ceil(q * n))) - 1]  # quantile_disc rank
-                bucket[idx] += (vv > thr).astype(np.float64)
-            bucket[idx] = np.where(np.isnan(vv), np.nan, bucket[idx])
-        return pd.DataFrame(
-            {"day": d["day"].astype("datetime64[us]"), "conv_id": d["conv_id"],
-             "day_value": round_half_away(xcf / 100.0, 6),
-             "q_bucket": bucket}
-        )
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(partials, bucketize, key="day",
-                            sort_cols=["day", "conv_id"], num_buckets=32)
-
-
-SQL_QUARTILE_BUCKET = f"""{_T},
-d AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         CAST(SUM(ROUND(value * 100)) AS BIGINT) AS xc
-  FROM t GROUP BY 1, 2
-),
-s AS (
-  SELECT day, quantile_disc(xc, 0.25) AS t1, quantile_disc(xc, 0.50) AS t2,
-         quantile_disc(xc, 0.75) AS t3
-  FROM d GROUP BY day
-)
-SELECT d.day, d.conv_id, ROUND(d.xc / 100.0, 6) AS day_value,
-       CAST(1 + (d.xc > s.t1)::INT + (d.xc > s.t2)::INT + (d.xc > s.t3)::INT
-            AS DOUBLE) AS q_bucket
-FROM d JOIN s USING (day)
-"""
-
-QUERIES["w_quartile_bucket"] = q_quartile_bucket
-ORACLES["w_quartile_bucket"] = SQL_QUARTILE_BUCKET
 
 
 # ---------------------------------------------------------------------------
@@ -3574,67 +3090,6 @@ ORACLES["cohort_retention"] = SQL_COHORT_RETENTION
 
 
 # ---------------------------------------------------------------------------
-# Top-k WITH TIES (DENSE_RANK <= 3 per day): completes the top-k
-# semantics family — topk_per_day is ROW_NUMBER (exactly k rows,
-# tie-broken), this is the ties-included variant (a day with tied
-# heavy conversations keeps them ALL — the "don't arbitrarily drop a
-# tied winner" selection rule). Same one-shuffle rank-family shape;
-# dense rank is a vectorized change-flag cumsum over the sorted bucket,
-# computed on the 6dp-rounded value so tie groups are identical on both
-# engines.
-# ---------------------------------------------------------------------------
-TOPK_TIES_K = 3
-
-
-def q_topk_ties_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_rank(g: pd.DataFrame) -> pd.DataFrame:
-        # exact integer-cent tie key (r03 ADVICE). DENSE_RANK NULL rule:
-        # NaN day_values sort last and tie with each other as ONE dense
-        # rank (DuckDB probe) — hence _nan_eq, not Series.ne (NaN.ne(NaN)
-        # is True, which would give every NULL its own rank).
-        d, xcf = _final_day_cents(g)
-        d["day_value"] = round_half_away(xcf / 100.0, 6)
-        d = d.sort_values(["day", "day_value", "conv_id"],
-                          ascending=[True, False, True],
-                          kind="mergesort").reset_index(drop=True)
-        dv = d["day_value"].to_numpy(np.float64)
-        prev = np.roll(dv, 1)
-        new_day = ~d["day"].eq(d["day"].shift()).to_numpy()
-        chg = pd.Series(
-            np.where(new_day, 1, (~_nan_eq(dv, prev)).astype(np.int64)),
-            index=d.index,
-        )
-        d["rnk"] = chg.groupby(d["day"], sort=False).cumsum().astype(np.int64)
-        d = d[d["rnk"] <= TOPK_TIES_K]
-        d["day"] = d["day"].astype("datetime64[us]")
-        return d[["day", "conv_id", "day_value", "rnk"]]
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(partials, bucket_rank, key="day",
-                            sort_cols=["day", "conv_id"], num_buckets=32)
-
-
-SQL_TOPK_TIES_DAY = f"""{_T},
-daily AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS day_value
-  FROM t GROUP BY 1, 2
-)
-SELECT day, conv_id, day_value, rnk FROM (
-  SELECT day, conv_id, day_value,
-         CAST(DENSE_RANK() OVER (PARTITION BY day ORDER BY day_value DESC)
-              AS BIGINT) AS rnk
-  FROM daily
-) WHERE rnk <= {TOPK_TIES_K}
-"""
-
-QUERIES["topk_ties_day"] = q_topk_ties_day
-ORACLES["topk_ties_day"] = SQL_TOPK_TIES_DAY
-
-
-# ---------------------------------------------------------------------------
 # Global max session concurrency: the peak number of simultaneously-active
 # sessions across the whole timeline, and the earliest instant it is
 # reached — the capacity-planning statistic (inclusive intervals: a
@@ -3950,81 +3405,8 @@ ORACLES["target_encode"] = SQL_TARGET_ENCODE
 
 
 # ---------------------------------------------------------------------------
-# Per-day winsorized clipping — the outlier-capping prep step (clip each
-# turn's value to its day's [p05, p95] quantile_disc band) every
-# feature-normalization recipe runs before training. Integer-cent
-# thresholds via the pinned quantile_disc rank rule (same as
-# w_quartile_bucket), so engine and SQL clip at IDENTICAL boundaries;
-# NULL values stay NULL (LEAST/GREATEST propagate), all-NULL days have
-# NULL thresholds -> NULL output. One day-keyed shuffle of the pruned
-# 4-column rows (the per-row output has to cross an exchange anyway).
-# ---------------------------------------------------------------------------
-def q_winsorize_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-    pruned = _prune(ts, ["conv_id", "_seq", "ts", "value"])
-
-    def clip(g: pd.DataFrame) -> pd.DataFrame:
-        day = g["ts"].astype("datetime64[us]").dt.floor("D")
-        v = g["value"].to_numpy(dtype="float64")
-        vc = np.rint(v * 100.0)  # NaN stays NaN
-        # Vectorized per-day quantile_disc gather: one lexsort of the
-        # non-NULL values keyed by day code, then the rank-rule index
-        # (max(1, ceil(q*n)) - 1, same float expression as the SQL probe)
-        # read straight out of the sorted array — no per-day Python loop.
-        codes, _ = pd.factorize(day, sort=False)
-        valid = ~np.isnan(vc)
-        n_groups = int(codes.max()) + 1 if len(codes) else 0
-        cnt = np.bincount(codes[valid], minlength=n_groups)
-        order = np.lexsort((vc[valid], codes[valid]))
-        sv = vc[valid][order]
-        ends = np.cumsum(cnt)
-        starts = ends - cnt
-        lo_i = starts + np.maximum(1, np.ceil(0.05 * cnt).astype(np.int64)) - 1
-        hi_i = starts + np.maximum(1, np.ceil(0.95 * cnt).astype(np.int64)) - 1
-        lo = np.full(n_groups, np.nan)
-        hi = np.full(n_groups, np.nan)
-        nz = cnt > 0  # all-NULL day: thresholds NULL -> output NULL
-        lo[nz] = sv[lo_i[nz]]
-        hi[nz] = sv[hi_i[nz]]
-        out = np.minimum(np.maximum(vc, lo[codes]), hi[codes])
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "_seq": g["_seq"],
-             "w_value": round_half_away(out / 100.0, 6)}
-        )
-
-    return map_conv_buckets(
-        pruned.map_batches(
-            lambda df: df.assign(day=df["ts"].astype("datetime64[us]").dt.floor("D")),
-            batch_format="pandas"),
-        clip, key="day", sort_cols=["day", "conv_id", "_seq"], num_buckets=32)
-
-
-SQL_WINSORIZE_DAY = f"""{_T},
-c AS (
-  SELECT conv_id, _seq, date_trunc('day', ts) AS day,
-         ROUND(value * 100) AS vc
-  FROM t
-),
-s AS (
-  SELECT day, quantile_disc(vc, 0.05) AS lo, quantile_disc(vc, 0.95) AS hi
-  FROM c GROUP BY day
-)
-SELECT c.conv_id, c._seq,
-       -- explicit NULL propagation: DuckDB LEAST/GREATEST SKIP NULL args
-       -- (probed), so without the CASE a NULL value would clip to s.lo
-       CASE WHEN c.vc IS NULL THEN NULL
-            ELSE ROUND(LEAST(GREATEST(c.vc, s.lo), s.hi) / 100.0, 6) END
-         AS w_value
-FROM c JOIN s USING (day)
-"""
-
-QUERIES["winsorize_day"] = q_winsorize_day
-ORACLES["winsorize_day"] = SQL_WINSORIZE_DAY
-
-
-# ---------------------------------------------------------------------------
 # Per-day min-max normalization — the [0, 1] feature scaling within a
-# cohort (complement of w_zscore_day's standardization): exact integer
+# cohort (the complement of z-score standardization): exact integer
 # min/max per day, ONE float division mirrored in the SQL. NULL values
 # stay NULL; a constant day (max == min) is NULL (SQL NULLIF); all-NULL
 # days have NULL bounds.

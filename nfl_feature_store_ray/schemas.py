@@ -1,9 +1,4 @@
-"""Explicit Arrow schemas + engine constants.
-
-The reference (`/root/reference`, theedgepredictor/nfl-feature-store) has no
-schema declarations anywhere — dtypes are whatever pandas infers and shipped
-files are dtype-inconsistent across stores (SURVEY.md §1.1). The rebuild pins
-every logical table to one `pyarrow.Schema` declared here.
+"""Engine constants.
 
 Window constants mirror the reference semantics verified empirically in
 SURVEY.md §0 (probes 1-8):
@@ -21,8 +16,6 @@ SURVEY.md §0 (probes 1-8):
 """
 
 from __future__ import annotations
-
-import pyarrow as pa
 
 # ---------------------------------------------------------------------------
 # Window-family constants (reference parity, SURVEY.md §2.6)
@@ -46,59 +39,7 @@ QUANT_SCALE = 100.0
 # conversations, never split ones).
 DEFAULT_NUM_BUCKETS = 64
 
-# ---------------------------------------------------------------------------
-# Logical table schemas
-# ---------------------------------------------------------------------------
-
-# Primary engine input (BASELINE.json input_hint, FIXTURES.md F1).
-TRANSCRIPT_SCHEMA = pa.schema(
-    [
-        pa.field("conv_id", pa.string()),
-        pa.field("turn_idx", pa.int32()),
-        pa.field("role", pa.string()),
-        pa.field("text", pa.string()),
-        pa.field("tool", pa.string()),  # nullable; set on role == 'tool'
-        pa.field("ts", pa.timestamp("us")),
-    ]
-)
-
-ROLES = ("user", "assistant", "tool")
-
-# Per-turn derived columns added by stages.derive (before windowing —
-# reference computes derived per-game scalars BEFORE windowing, probe 8).
-DERIVED_COLUMNS = (
-    "text_len",  # int64: UTF-8 character count
-    "n_tokens",  # int64: whitespace token count
-    "is_user",
-    "is_assistant",
-    "is_tool",  # int8 one-hots of role
-    "has_tool",  # int8: tool is non-null
-)
-
 # Metrics fanned out through the window families (last_/form_/avg_/ewma_).
 # Analogue of the reference's 59-base-metric x 3-window-family fan-out
 # (SURVEY §1.1 affix algebra) — generated from this list, never hand-written.
 DEFAULT_WINDOW_METRICS = ("value", "text_len", "n_tokens")
-
-WINDOW_FAMILIES = ("last", "form", "avg", "ewma")
-
-
-def window_feature_columns(metrics=DEFAULT_WINDOW_METRICS) -> list[str]:
-    """Generated feature-column list (affix algebra, SURVEY §2.6 W1-W5)."""
-    cols = [f"{fam}_{m}" for m in metrics for fam in WINDOW_FAMILIES]
-    cols += [f"session_avg_{m}" for m in metrics]
-    return cols
-
-
-# Session / structural features emitted by the window engine.
-STRUCTURAL_FEATURES = (
-    "gap_s",  # float64: seconds since previous turn (lag of ts, W7 'rest')
-    "session_id",  # int32: 0-based inactivity-gap session index
-    "session_turn_idx",  # int32: 0-based index within session
-    "n_prior_user",  # int64: count of strictly-prior 'user' turns
-    "n_prior_assistant",
-    "n_prior_tool",
-    "turns_since_tool",  # float64: turns since last tool turn (NaN if none)
-    "secs_since_tool",  # float64: seconds since last tool turn (NaN if none)
-    "roll10_tool_rate",  # float64: rolling-10 mean of is_tool, shifted 1 (W6)
-)

@@ -1,7 +1,8 @@
 """Transcript table sources.
 
 Two deterministic producers of the engine's primary input table
-(schema = ``schemas.TRANSCRIPT_SCHEMA``, from BASELINE.json ``input_hint``):
+(conv_id string, turn_idx int32, role string, text string, tool string,
+ts timestamp[us]; BASELINE.json ``input_hint``):
 
 1. ``transcripts_from_events(sf_dir)`` — derives a transcript table from the
    driver-generated ``events`` table (`/root/testdata/sf*/events.parquet`).

@@ -28,20 +28,19 @@ EVENT_QUERIES = [
     "resume_manifest", "w_rolling_streaming", "w_incremental_append",
     "parse_props", "pair_join",
     "agg_career", "w_turn_overlap", "w_novelty", "w_rolling_median",
-    "agg_variance", "w_zscore_day", "role_transitions",
-    "w_cummax", "w_percent_rank_day", "w_expanding_corr", "w_streak",
-    "w_asof_forward", "asof_tolerance", "w_ntile_day", "w_conv_text",
-    "rollup_day_role", "percentile_day", "clean_text", "w_expanding_distinct",
-    "set_ops_convs", "w_mad_day", "w_cume_dist_day", "topk_per_day", "w_first_value",
+    "agg_variance", "role_transitions", "w_cummax", "w_expanding_corr",
+    "w_streak", "w_asof_forward", "asof_tolerance", "w_ntile_day", "w_conv_text",
+    "rollup_day_role", "clean_text", "w_expanding_distinct",
+    "set_ops_convs", "w_first_value",
     "agg_weighted_day", "w_lag_k", "w_hopping", "cube_day_role",
-    "w_response_latency", "w_share_day", "w_pattern_count",
-    "w_quartile_bucket", "dedup_consecutive", "agg_hour_profile", "agg_tool_set",
+    "w_response_latency", "w_pattern_count",
+    "dedup_consecutive", "agg_hour_profile", "agg_tool_set",
     "w_session_funnel", "split_convs",
     "w_rolling_mode", "asof_nearest", "day_concentration", "cohort_retention",
-    "topk_ties_day", "max_concurrency", "json_props", "w_late_events",
+    "max_concurrency", "json_props", "w_late_events",
     "w_groups_frame", "target_encode", "w_time_decay_dyadic",
-    "winsorize_day", "minmax_day", "w_rolling_grid7",
-    "agg_gap_profile", "w_forward_sum_30m", "w_chained_subrange",
+    "minmax_day", "w_rolling_grid7", "agg_gap_profile", "w_forward_sum_30m",
+    "w_chained_subrange",
 ]
 
 
@@ -120,12 +119,9 @@ def test_events_fuzz_query_matches_oracle(name, events_fuzz_dir):
 NULL_EVENTS_FUZZ_DIR = "/tmp/nfl_fs_fuzz_nullval_test"
 
 NULL_VALUE_QUERIES = [
-    "w_rank_day", "w_ntile_day", "w_cume_dist_day", "topk_per_day",
-    "topk_ties_day", "w_percent_rank_day", "w_zscore_day", "w_share_day",
-    "w_quartile_bucket", "day_concentration", "w_rank_composite",
+    "w_rank_day", "w_ntile_day", "day_concentration", "w_rank_composite",
     "agg_weighted_day", "w_hopping", "agg_hour_profile", "w_groups_frame",
-    "target_encode", "session_stats",
-    "percentile_day", "w_mad_day", "w_first_value", "w_lag_k",
+    "target_encode", "session_stats", "w_first_value", "w_lag_k",
     "w_time_decay_dyadic",
     # verified NULL-clean by the round-4 full-registry sweep (value NULLs
     # never reach an int cast / their pandas kernels already share SQL's
@@ -143,8 +139,7 @@ NULL_VALUE_QUERIES = [
     "agg_variance", "w_tumbling", "w_densify", "w_densify_seeded",
     "pair_join", "agg_career", "topk_convs", "w_asof_forward",
     "asof_tolerance", "asof_nearest", "asof_daily",
-    "w_sliding_window", "w_asof_checkpoint",
-    "winsorize_day", "minmax_day", "w_rolling_grid7",
+    "w_sliding_window", "w_asof_checkpoint", "minmax_day", "w_rolling_grid7",
     "agg_gap_profile", "w_forward_sum_30m",
     # round 5: the flagship expanding/EWMA/session window kernels now skip
     # NULLs like SQL AVG/SUM (pandas + polars + streaming paths, see
@@ -256,10 +251,8 @@ def test_lag_default_null_value_semantics(tmp_path, ray_session):
 
 
 def test_null_value_histogram_and_first_value(tmp_path, ray_session):
-    """Regression trio: NULL values must be (a) skipped by the cents
-    histograms (NaN->int64 would make a garbage INT64_MIN bin), and
-    (b) RETURNED by FIRST_VALUE when the first row's value is NULL
-    (pandas transform('first') would skip it)."""
+    """Regression: FIRST_VALUE must RETURN a NULL when the first row's
+    value is NULL (pandas transform('first') would skip it)."""
     import duckdb
 
     ev = pd.DataFrame(
@@ -277,20 +270,12 @@ def test_null_value_histogram_and_first_value(tmp_path, ray_session):
 
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')")
-    for name in ("percentile_day", "w_mad_day", "w_first_value"):
-        r = e.queries()[name](str(d))
-        r = r.to_pandas() if not isinstance(r, pd.DataFrame) else r
-        s = con.execute(e.oracle_sql()[name]).df()
-        cols = sorted(r.columns)
-        assert cols == sorted(s.columns), name
-        rr = r[cols].sort_values(cols).reset_index(drop=True)
-        ss = s[cols].sort_values(cols).reset_index(drop=True)
-        for c in cols:
-            if rr[c].dtype.kind == "M":
-                rr[c] = rr[c].astype("datetime64[us]")
-            if ss[c].dtype.kind == "M":
-                ss[c] = ss[c].astype("datetime64[us]")
-        pd.testing.assert_frame_equal(rr, ss, check_dtype=False)
-    # conv 1's first value is NULL -> conv_first_value must be NULL everywhere
     fv = e.queries()["w_first_value"](str(d)).to_pandas()
+    s = con.execute(e.oracle_sql()["w_first_value"]).df()
+    cols = sorted(fv.columns)
+    assert cols == sorted(s.columns)
+    rr = fv[cols].sort_values(cols).reset_index(drop=True)
+    ss = s[cols].sort_values(cols).reset_index(drop=True)
+    pd.testing.assert_frame_equal(rr, ss, check_dtype=False)
+    # conv 1's first value is NULL -> conv_first_value must be NULL everywhere
     assert fv.loc[fv["conv_id"] == "1", "conv_first_value"].isna().all()
