@@ -33,10 +33,13 @@ SESSION_GAP_S = 86_400  # 24 h inactivity => new session (epoch boundary)
 # and 5e-7 rounding ties resolve identically on both sides.
 QUANT_SCALE = 100.0
 
-# Default number of hash buckets for the conv_id partition spine. At cluster
-# scale this should be ~2-4x total cores so that one straggler bucket cannot
-# dominate; each bucket must fit in a worker's heap (buckets hold whole
-# conversations, never split ones).
+# Modulus of the PERSISTED bucketed layout (state.manifest.partitioned_commit
+# and the with_bucket / map_conv_buckets defaults): a stored layout is
+# re-committed and refreshed by this count, so it does not follow the
+# cluster. In-flight shuffles (window_features, asof_join) size themselves
+# from the cluster instead: 2 x CPUs buckets (stages.bucketize.shuffle_buckets).
+# Each bucket must fit in a worker's heap (buckets hold whole conversations,
+# never split ones).
 DEFAULT_NUM_BUCKETS = 64
 
 # Metrics fanned out through the window families (last_/form_/avg_/ewma_).

@@ -11,9 +11,20 @@ window / sessionize / as-of operator rides on it:
 
 Why buckets instead of `groupby(conv_id).map_groups(per_conv_fn)`: at
 10^12 turns there are ~10^9 conversations; per-group Python dispatch would
-be the bottleneck. Bucketing gives B ≈ 2-4x cores tasks, each processing
-thousands of conversations with vectorized `DataFrame.groupby` kernels —
-same shuffle cost, ~100x less per-group overhead.
+be the bottleneck. Bucketing gives B tasks, each processing thousands of
+conversations with vectorized kernels — same shuffle cost, ~100x less
+per-group overhead.
+
+Bucket count. An in-flight shuffle (``window_features``, ``asof_join``)
+takes B = 2 x the cluster's CPUs by default (``shuffle_buckets``): every
+bucket task pays a fixed kernel / merge cost, so B beyond a couple of
+tasks per CPU buys no parallelism, only calls. A bucket then holds about
+total / (2 x CPUs) rows; a job whose buckets would outgrow a worker's
+heap passes an explicit ``num_buckets``. The PERSISTED layout
+(``state.manifest.partitioned_commit``) stays at
+``schemas.DEFAULT_NUM_BUCKETS`` whatever the cluster: later commits
+skip unchanged partitions and ``window_features_incremental`` carries
+state per partition file, both by that modulus.
 
 Skew: a conversation can never be split (windows are prefix-sequential per
 conversation), so the worst-case bucket is max(total/B, hottest_conv).
@@ -31,16 +42,20 @@ Reference analogue: O1 global sort before windowing
 hash-partition + per-bucket sort, which avoids a global range sort.
 
 Determinism: bucket assignment uses pandas' SipHash-based
-``hash_pandas_object`` with a FIXED hash key, so partitioning (and thus
-output) is stable across runs, processes, and parallelism levels.
+``hash_pandas_object`` with a FIXED hash key, so for a given B the
+partitioning is stable across runs and processes. The output rows do not
+depend on B at all (a bucket holds whole conversations); only the order
+in which buckets arrive does.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data
 
 from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
@@ -48,6 +63,20 @@ from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
 _HASH_KEY = "nfl_fs_partition"  # exactly 16 bytes, pinned for determinism
 
 BUCKET_COL = "_bucket"
+
+
+def cluster_cpus() -> int:
+    """CPUs of the running Ray cluster; ``os.cpu_count()`` when Ray is not
+    initialized yet, which is what Ray's auto-init would give."""
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
+
+
+def shuffle_buckets(num_buckets: int | None = None) -> int:
+    """Bucket count of an in-flight shuffle: ``num_buckets`` when given,
+    else two per cluster CPU."""
+    return num_buckets if num_buckets is not None else 2 * cluster_cpus()
 
 
 def bucket_of(keys: pd.Series | pd.DataFrame, num_buckets: int) -> pd.Series:

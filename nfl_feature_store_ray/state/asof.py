@@ -24,8 +24,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
-from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, with_bucket
+from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, shuffle_buckets, with_bucket
 from nfl_feature_store_ray.state.window_kernel_pl import _pl
 
 _SIDE_COL = "_asof_side"
@@ -49,7 +48,7 @@ def asof_join(
     key: str = "conv_id",
     on: str = "ts",
     allow_exact_matches: bool = False,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    num_buckets: int | None = None,
     suffix: str = "_r",
     direction: str = "backward",
     tolerance=None,
@@ -75,7 +74,13 @@ def asof_join(
     Right-side value columns that collide with left columns get ``suffix``.
     Every column keeps its input Arrow type; unmatched rows get nulls. A
     null ``on`` value on either side raises ``ValueError``.
+
+    ``num_buckets=None`` shuffles both sides into 2 x the cluster's CPUs
+    buckets (``stages.bucketize.shuffle_buckets``), one merge call each;
+    a bucket holds about (left + right) / (2 x CPUs) rows, so at sizes
+    beyond a worker's heap pass a larger ``num_buckets``.
     """
+    num_buckets = shuffle_buckets(num_buckets)
     left_types = _arrow_types(left)
     right_types = _arrow_types(right)
     left_cols = list(left_types)

@@ -37,10 +37,10 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from nfl_feature_store_ray.pipelines.partitioned import partition_files
+from nfl_feature_store_ray.stages.bucketize import cluster_cpus
 
 STATE_FORMAT = "arrow-carry-1"
 
@@ -166,7 +166,6 @@ def window_features_incremental(
 
     # one task per CPU, each over a share of the partition files read
     # whole (a partition must never be split across calls)
-    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
-    n_tasks = max(1, min(len(paths), cpus))
+    n_tasks = max(1, min(len(paths), cluster_cpus()))
     ds = ray.data.from_items([{"path": p} for p in paths], override_num_blocks=n_tasks)
     return ds.map_batches(process, batch_format="pyarrow", batch_size=None)

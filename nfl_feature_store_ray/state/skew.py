@@ -37,7 +37,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS, SESSION_GAP_S
+from nfl_feature_store_ray.schemas import SESSION_GAP_S
 from nfl_feature_store_ray.stages.bucketize import map_conv_buckets
 from nfl_feature_store_ray.state.window_engine import window_features
 
@@ -150,7 +150,7 @@ def window_features_chained(
     ds: ray.data.Dataset,
     metrics: tuple[str, ...] = ("value",),
     session_gap_s: int = SESSION_GAP_S,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    num_buckets: int | None = None,
     heavy_keys: dict | None = None,
     min_rows: int = 1_000_000,
     sub_range_rows: int = 1_000_000,
@@ -173,6 +173,12 @@ def window_features_chained(
     so the chain is bit-identical to the one-task batch kernel on every
     family except the rolling means (form_*), which match within
     rtol 1e-9.
+
+    ``num_buckets`` sizes the normal path's shuffle and is passed through
+    to ``window_features``: ``None`` means 2 x the cluster's CPUs, so a
+    bucket holds about total / (2 x CPUs) rows of the normal
+    conversations. Pass a larger count when that exceeds a worker's heap;
+    the heavy conversations never enter a bucket.
 
     ``metrics`` must be PHYSICAL columns of ``ds`` (the heavy branch
     prunes to conv_id/ts/role/metrics/tie before its sort, so derived

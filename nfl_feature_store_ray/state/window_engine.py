@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import ray.data
 
-from nfl_feature_store_ray.schemas import (
-    DEFAULT_NUM_BUCKETS,
-    DEFAULT_WINDOW_METRICS,
-    SESSION_GAP_S,
-)
+from nfl_feature_store_ray.schemas import DEFAULT_WINDOW_METRICS, SESSION_GAP_S
 
 
 def window_features(
@@ -22,7 +18,7 @@ def window_features(
     metrics: tuple[str, ...] = DEFAULT_WINDOW_METRICS,
     session_gap_s: int = SESSION_GAP_S,
     assign_turn_idx: bool = False,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    num_buckets: int | None = None,
     derive: bool = True,
     heavy_keys: dict | None = None,
     phases: tuple[str, ...] = (),
@@ -30,6 +26,11 @@ def window_features(
 ) -> ray.data.Dataset:
     """Distributed window engine: derive -> bucket shuffle -> per-bucket scan.
 
+    ``num_buckets=None`` shuffles into 2 x the cluster's CPUs buckets
+    (``stages.bucketize.shuffle_buckets``), so one kernel call runs per
+    bucket and a bucket holds about total / (2 x CPUs) rows. At sizes
+    where that exceeds a worker's heap, pass a larger ``num_buckets`` or
+    use ``state.skew.window_features_chained``.
     ``heavy_keys`` (from ``state.skew.detect_heavy_keys``): hot
     conversations get dedicated buckets (explicit skew salting).
     ``pre_kernel`` (Arrow table -> Arrow table) runs inside each bucket
@@ -53,10 +54,12 @@ def window_features(
     # the pandas spine at sf0.1).
     import pyarrow as pa
 
-    from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, with_bucket
+    from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, shuffle_buckets, with_bucket
     from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
-    bucketed = with_bucket(ds, key="conv_id", num_buckets=num_buckets, heavy_keys=heavy_keys)
+    bucketed = with_bucket(
+        ds, key="conv_id", num_buckets=shuffle_buckets(num_buckets), heavy_keys=heavy_keys
+    )
 
     def kern(tbl: pa.Table) -> pa.Table:
         # sort-exchange output arrives as one chunk PER MAP CONTRIBUTION

@@ -425,9 +425,11 @@ def _apply_window_exprs(
         seed = c(f"_last_{m}").shift(1).over("conv_id")
         if carried:
             seed = pl.when(open_sess).then(r(f"seed_{m}")).otherwise(seed)
+        # an unseeded session with no non-null value has no final (NULL,
+        # as SQL's NULLIF(n, 0)), never 0 / 0
         final = (
             pl.when(c("session_id") == 0)
-            .then(c(f"_total_{m}") / (QUANT_SCALE * c(f"_n_{m}")))
+            .then(pl.when(c(f"_n_{m}") > 0).then(c(f"_total_{m}") / (QUANT_SCALE * c(f"_n_{m}"))))
             .otherwise((seed + c(f"_total_{m}")) / (QUANT_SCALE * (1.0 + c(f"_n_{m}"))))
         )
         prevfinal = final.shift(1).over("conv_id")
@@ -550,7 +552,8 @@ def _apply_window_exprs(
                         phase_cols[f"{fam}_{m}_{p}"] = np.where(v2, arr[s2], prior)
                     else:
                         phase_cols[f"{fam}_{m}_{p}"] = np.where(valid, arr[safe], prior)
-        lf = lf.hstack(pl.DataFrame(phase_cols))
+        # numpy marks "no value" as NaN: hand it back to polars as NULL
+        lf = lf.hstack(pl.DataFrame(phase_cols, nan_to_null=True))
         if not carried:
             lf = lf.drop([f"_{fam}_{m}" for m in metrics for fam in ("iavg", "iform", "iewma")])
 

@@ -113,6 +113,19 @@ def test_asof_nearest_tie_pinned_backward():
     )
 
 
+def test_asof_default_buckets_match_explicit_64():
+    events, feats = _frames()
+
+    def rows(**kw) -> pa.Table:
+        out = asof_join(rd.from_pandas(events), rd.from_pandas(feats), **kw)
+        return pa.concat_tables(_blocks(out)).sort_by(
+            [(c, "ascending") for c in ("conv_id", "ts", "ev")])
+
+    default, explicit = rows(), rows(num_buckets=64)
+    assert default.num_rows == len(events)
+    assert default.equals(explicit)
+
+
 def _blocks(ds) -> list:
     return list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
 

@@ -1,12 +1,15 @@
 """Invariance tests (SURVEY §5.2 item 4): output must not depend on block
 count, partition (bucket) count, or physical input order."""
 
+import uuid
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
-from nfl_feature_store_ray.stages.bucketize import bucket_of
+from nfl_feature_store_ray.stages.bucketize import bucket_of, cluster_cpus, shuffle_buckets
 from nfl_feature_store_ray.state.window_engine import window_features
 
 METRICS = ("value", "text_len")
@@ -61,3 +64,31 @@ def test_invariant_to_partitioning_and_order():
         window_features(rd.from_arrow(rev), metrics=METRICS, num_buckets=8).to_pandas()
     )
     _assert_same(base, alt_order)
+
+
+def test_shuffle_buckets_follow_the_cluster():
+    """In-flight shuffles default to two buckets per cluster CPU (the test
+    session has 4); an explicit count is kept."""
+    assert cluster_cpus() == 4
+    assert shuffle_buckets() == 8
+    assert shuffle_buckets(64) == 64
+
+
+def test_default_buckets_match_explicit_64():
+    tbl = generate_transcripts(n_convs=40, mean_turns=10, seed=31)
+    default = _canon(window_features(rd.from_arrow(tbl), metrics=METRICS).to_pandas())
+    explicit = _canon(
+        window_features(rd.from_arrow(tbl), metrics=METRICS, num_buckets=64).to_pandas()
+    )
+    _assert_same(default, explicit)
+
+
+def test_default_plan_makes_two_kernel_calls_per_cpu():
+    """Each bucket task tags its rows with a call id before the kernel."""
+    def tag_call(tbl: pa.Table) -> pa.Table:
+        return tbl.append_column("call", pa.array([uuid.uuid4().hex] * tbl.num_rows))
+
+    tbl = generate_transcripts(n_convs=40, mean_turns=10, seed=31)
+    out = window_features(rd.from_arrow(tbl), metrics=METRICS, pre_kernel=tag_call).to_pandas()
+    assert len(out) == tbl.num_rows
+    assert out["call"].nunique() == shuffle_buckets() == 8
