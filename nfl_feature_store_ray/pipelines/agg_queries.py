@@ -340,149 +340,6 @@ ORACLES = {
 
 
 # ---------------------------------------------------------------------------
-# GROUPING SETS / ROLLUP over (day, role) — the OLAP cube family the
-# reference's per-grain stores approximate by hand (player / team / event
-# stores are three grains of the same facts). Distributed shape: ONE
-# shuffle at the FINEST grain only; the day level is derived in-bucket
-# (day is the bucket key, so each day's fine rows are co-located) and the
-# grand total folds the per-day rows — one bounded row per day — on the
-# driver. No second shuffle, no pass over raw turns for the coarse levels.
-# NULL rollup keys are replaced by pinned sentinels on both sides (nullable
-# group keys are hash-hostile across engines); `lvl` = GROUPING(day)*2 +
-# GROUPING(role).
-# ---------------------------------------------------------------------------
-_ROLLUP_DAY_SENTINEL = pd.Timestamp("1970-01-01")
-_ROLLUP_ROLE_SENTINEL = "(all)"
-
-
-def _day_role_partial(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-batch (day, role) -> (n, integer cent sum) partial, shared by
-    the ROLLUP and CUBE lattices."""
-    df = df.assign(
-        day=df["ts"].astype("datetime64[us]").dt.floor("D"),
-        vc=np.rint(df["value"].to_numpy() * 100.0),
-    )
-    return df.groupby(["day", "role"], as_index=False).agg(
-        n=("vc", "size"), c=("vc", "sum")
-    )
-
-
-def _day_role_levels(g: pd.DataFrame) -> pd.DataFrame:
-    """In-bucket fine (lvl 0) + day-marginal (lvl 1) rows — complete per
-    bucket because whole days are co-located; shared by ROLLUP and CUBE."""
-    fine = g.groupby(["day", "role"], as_index=False)[["n", "c"]].sum()
-    fine["lvl"] = 0
-    day = fine.groupby("day", as_index=False)[["n", "c"]].sum()
-    day["role"] = _ROLLUP_ROLE_SENTINEL
-    day["lvl"] = 1
-    out = pd.concat([fine, day], ignore_index=True)
-    out["day"] = out["day"].astype("datetime64[us]")
-    return out[["day", "role", "lvl", "n", "c"]]
-
-
-def _day_role_level_rows(sf_dir: str) -> pd.DataFrame:
-    """One finest-grain day shuffle -> bounded (lvl 0 + lvl 1) rows."""
-    from nfl_feature_store_ray.sources.transcripts import transcripts_from_events
-
-    ts = transcripts_from_events(sf_dir)
-    partials = ts.map_batches(_day_role_partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, _day_role_levels, key="day", sort_cols=["day", "role"],
-        num_buckets=32,
-    ).to_pandas()  # bounded: one row per (day, role) + one per day
-
-
-def q_rollup_day_role(sf_dir: str):
-    levels = _day_role_level_rows(sf_dir)
-    day_rows = levels[levels["lvl"] == 1]
-    grand = pd.DataFrame(
-        {
-            "day": [_ROLLUP_DAY_SENTINEL],
-            "role": [_ROLLUP_ROLE_SENTINEL],
-            "lvl": [3],
-            "n": [day_rows["n"].sum()],
-            "c": [day_rows["c"].sum()],
-        }
-    )
-    out = pd.concat([levels, grand], ignore_index=True)
-    out["day"] = out["day"].astype("datetime64[us]")
-    out["n"] = out["n"].astype("int64")
-    out["lvl"] = out["lvl"].astype("int64")
-    out["sum_value"] = round_half_away(out["c"] / 100.0, 6)
-    return out.drop(columns=["c"])
-
-
-SQL_ROLLUP_DAY_ROLE = """
-WITH t AS ({base}),
-d AS (SELECT date_trunc('day', ts) AS day, role, ROUND(value * 100) AS vc FROM t)
-SELECT COALESCE(day, TIMESTAMP '1970-01-01') AS day,
-       COALESCE(role, '(all)') AS role,
-       CAST(GROUPING(day) * 2 + GROUPING(role) AS BIGINT) AS lvl,
-       COUNT(*) AS n,
-       ROUND(SUM(vc) / 100.0, 6) AS sum_value
-FROM d GROUP BY ROLLUP(day, role)
-"""
-
-
-def _rollup_sql() -> str:
-    from nfl_feature_store_ray.sources.transcripts import TRANSCRIPTS_FROM_EVENTS_SQL
-
-    return SQL_ROLLUP_DAY_ROLE.format(base=TRANSCRIPTS_FROM_EVENTS_SQL)
-
-
-QUERIES["rollup_day_role"] = q_rollup_day_role
-ORACLES["rollup_day_role"] = _rollup_sql()
-
-
-# ---------------------------------------------------------------------------
-# CUBE(day, role) — the full grouping-sets lattice over rollup_day_role's
-# hierarchy: fine (day, role), day marginals, ROLE marginals (the level
-# ROLLUP lacks), and the grand total, all from ONE finest-grain shuffle.
-# The role marginal and grand total are cross-day sums, computed on the
-# driver over the BOUNDED fine rows (days x roles); lvl encodes
-# GROUPING(day)*2 + GROUPING(role) exactly as DuckDB does.
-# ---------------------------------------------------------------------------
-def q_cube_day_role(sf_dir: str):
-    levels = _day_role_level_rows(sf_dir)  # shared with q_rollup_day_role
-    fine = levels[levels["lvl"] == 0]
-    role = fine.groupby("role", as_index=False)[["n", "c"]].sum()
-    role["day"] = _ROLLUP_DAY_SENTINEL
-    role["lvl"] = 2
-    grand = pd.DataFrame(
-        {"day": [_ROLLUP_DAY_SENTINEL], "role": [_ROLLUP_ROLE_SENTINEL],
-         "lvl": [3], "n": [fine["n"].sum()], "c": [fine["c"].sum()]}
-    )
-    out = pd.concat([levels, role, grand], ignore_index=True)
-    out["day"] = out["day"].astype("datetime64[us]")
-    out["n"] = out["n"].astype("int64")
-    out["lvl"] = out["lvl"].astype("int64")
-    out["sum_value"] = round_half_away(out["c"] / 100.0, 6)
-    return out[["day", "role", "lvl", "n", "sum_value"]]
-
-
-SQL_CUBE_DAY_ROLE = """
-WITH t AS ({base}),
-d AS (SELECT date_trunc('day', ts) AS day, role, ROUND(value * 100) AS vc FROM t)
-SELECT COALESCE(day, TIMESTAMP '1970-01-01') AS day,
-       COALESCE(role, '(all)') AS role,
-       CAST(GROUPING(day) * 2 + GROUPING(role) AS BIGINT) AS lvl,
-       COUNT(*) AS n,
-       ROUND(SUM(vc) / 100.0, 6) AS sum_value
-FROM d GROUP BY CUBE(day, role)
-"""
-
-
-def _cube_sql() -> str:
-    from nfl_feature_store_ray.sources.transcripts import TRANSCRIPTS_FROM_EVENTS_SQL
-
-    return SQL_CUBE_DAY_ROLE.format(base=TRANSCRIPTS_FROM_EVENTS_SQL)
-
-
-QUERIES["cube_day_role"] = q_cube_day_role
-ORACLES["cube_day_role"] = _cube_sql()
-
-
-# ---------------------------------------------------------------------------
 # Data-quality constraint validation (the dbt-test family): declared
 # invariants checked distributed, one violation count per check —
 # completeness (required column non-null), domain (value > 0), KEY

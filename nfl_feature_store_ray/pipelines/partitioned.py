@@ -56,50 +56,27 @@ def partition_files(part_dir: str) -> list[str]:
 
 def sort_partition(tbl: pa.Table) -> pa.Table:
     """Ingest transform: persist partitions pre-sorted by (conv_id, ts,
-    tie) so downstream jobs (incl. the streaming actor) skip the sort.
+    tie) so downstream jobs (incl. the streaming job) skip the sort.
     Stable: rows equal on every sort key keep their input order."""
     cols = ["conv_id", "ts"] + [t for t in ("turn_idx", "_seq") if t in tbl.column_names]
     return tbl.sort_by([(c, "ascending") for c in cols])
 
 
-class _CarryKernel:
-    """map_batches callable class (actor pool): one carry table per actor,
-    the window kernel run on each batch with it.
-
-    Batches MUST be sorted by (conv_id, ts, tie) and delivered in order
-    per conversation (guaranteed when reading the sorted partitioned
-    layout: one partition block per task, batches in block order). A
-    batch that starts before a conversation's carried watermark fails
-    loudly, so a task retried on an actor that already holds part of its
-    block raises rather than corrupt the carry — rerun the job."""
-
-    def __init__(self, metrics: tuple[str, ...], phases: tuple[str, ...]):
-        self.metrics, self.phases = metrics, phases
-        self.cols = feature_columns(metrics, phases)
-        self.carry = empty_carry(metrics, phases)
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        feats, self.carry = kernel_arrow(
-            tbl, metrics=self.metrics, assign_turn_idx=True, sort=False,
-            phases=self.phases, carry=self.carry,
-        )
-        return feats.select(self.cols)
-
-
 def window_features_streaming(
     part_dir: str,
     metrics: tuple[str, ...] = ("value", "text_len", "n_tokens"),
-    concurrency: int = 4,
     batch_size: int = 8192,
     phases: tuple[str, ...] = (),
 ) -> ray.data.Dataset:
-    """Incremental streaming window job over a SORTED partitioned layout.
+    """Streaming window job over a SORTED partitioned layout.
 
-    Actor pool whose actors each hold one per-conversation carry table
-    (tails + registers + monotonic-ts watermarks) and run the window
-    kernel on every batch; processes each partition block as an ordered
-    sequence of batches in bounded memory — the path for conversations
-    larger than a worker's heap.
+    One stateless task per partition block: the task walks its block in
+    ``batch_size``-row slices through the window kernel, feeding each
+    slice the per-conversation carry (tails + registers + monotonic-ts
+    watermarks) of the slices before it, so kernel memory is bounded by
+    the slice — the path for conversations larger than a worker's heap.
+    The carry starts empty in every task, so a retried task recomputes
+    its block from scratch.
     """
     from nfl_feature_store_ray.stages.derive import derive_turn_columns
 
@@ -108,15 +85,19 @@ def window_features_streaming(
         raise FileNotFoundError(f"no part-*.parquet under {part_dir}")
     ds = ray.data.read_parquet(paths, override_num_blocks=len(paths))
     ds = derive_turn_columns(ds)
-    # autoscaling pool (min 1): a fixed pool sized to every CPU would
-    # starve the read stage and deadlock on small clusters
-    return ds.map_batches(
-        _CarryKernel,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, concurrency),
-        fn_constructor_kwargs={"metrics": metrics, "phases": phases},
-    )
+    cols = feature_columns(metrics, phases)
+
+    def carry_kernel(tbl: pa.Table):
+        carry = empty_carry(metrics, phases)
+        for start in range(0, tbl.num_rows, batch_size):
+            feats, carry = kernel_arrow(
+                tbl.slice(start, batch_size), metrics=metrics,
+                assign_turn_idx=True, sort=False, phases=phases, carry=carry,
+            )
+            yield feats.select(cols)
+
+    # batch_size=None => one batch per block => whole partition per task
+    return ds.map_batches(carry_kernel, batch_format="pyarrow", batch_size=None)
 
 
 def window_features_partitioned(

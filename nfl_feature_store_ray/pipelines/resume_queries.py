@@ -88,8 +88,8 @@ FROM t
 def q_rolling_streaming(sf_dir: str):
     """Streaming-engine gate: the SAME feature surface as ``w_rolling``
     (rolling(3) mean + rolling(10) tool-rate, both shifted) but computed
-    by the carried window kernel's actor pool over the sorted partitioned
-    layout — pinned against the identical DuckDB window-function oracle,
+    by the carried window kernel, one task per block of the sorted
+    partitioned layout — pinned against the identical DuckDB window-function oracle,
     so batch engine == streaming engine == SQL inside the driver gate.
 
     The partitioned layout is (re)built via the resumable ingest: a warm

@@ -37,7 +37,7 @@ _W = "PARTITION BY conv_id ORDER BY ts, _seq"
 
 def _daily_cents_partial(df: pd.DataFrame) -> pd.DataFrame:
     """Per-batch (day, conv) EXACT integer-cent sums (order-independent;
-    shared by w_rank_day and day_concentration).
+    used by w_rank_day).
 
     NULL-aware (r03 ADVICE): NaN values are masked to 0 BEFORE the int64
     cast (an unmasked NaN wraps to INT64_MIN and poisons the group), and
@@ -1213,42 +1213,7 @@ ORACLES["session_stats"] = SQL_SESSION_STATS
 
 
 # ---------------------------------------------------------------------------
-# continuous-time decayed sum (per-SECOND decay; complements the per-ROW
-# EWMA family). NO SQL oracle: numpy/DuckDB exp differ in the last ulp
-# (state/decay.py docstring) — gated rows-only by the driver, pinned by
-# tests/test_decay.py against an O(n^2) pairwise reference.
-# ---------------------------------------------------------------------------
-def q_time_decay(sf_dir: str):
-    from nfl_feature_store_ray.state.decay import DECAY_TAU_S, time_decayed_sum
-
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "value"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        codes = pd.factorize(g["conv_id"])[0].astype(np.int64)
-        # defensive unit pin: a ns-resolution ts column would silently turn
-        # tau=3600s into 3.6s of real time without this cast
-        t = g["ts"].astype("datetime64[us]").astype("int64").to_numpy() / 1e6
-        y = time_decayed_sum(
-            g["value"].to_numpy(dtype="float64"), t, codes, tau=DECAY_TAU_S
-        )
-        turn_idx = (g.groupby("conv_id").cumcount()).astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "decay_sum": round_half_away(y, 6)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-QUERIES["w_time_decay"] = q_time_decay  # rows-only (no exact SQL possible)
-
-
-# ---------------------------------------------------------------------------
-# DYADIC time decay — the hash-exactly gateable sibling of w_time_decay
-# (r03 verdict #5): state is an integer cent sum halved once per elapsed
+# DYADIC time decay: state is an integer cent sum halved once per elapsed
 # MINUTE via a right shift, so every operation is exact integer arithmetic
 # on both engines and the query is bit-equal to its SQL oracle. Semantics
 # per conversation in (ts, _seq) order, c_i = max(round(value*100), 0)
@@ -1256,7 +1221,6 @@ QUERIES["w_time_decay"] = q_time_decay  # rows-only (no exact SQL possible)
 # toward zero):
 #     prior_i = s_{i-1} >> min(63, gap_minutes_i)     (output, strictly prior)
 #     s_i     = prior_i + c_i
-# The continuous-exp variant stays rows-only (libm ulp divergence).
 # ---------------------------------------------------------------------------
 DYADIC_DECAY_US = 60_000_000  # one halving per elapsed minute
 
@@ -1937,60 +1901,6 @@ ORACLES["w_asof_forward"] = SQL_ASOF_FORWARD
 
 
 # ---------------------------------------------------------------------------
-# NTILE quartiles within each day (W9/A12 family): same one-shuffle shape as
-# q_rank_day, but the in-bucket kernel implements SQL NTILE's exact
-# bucket-size rule (first n % b buckets get one extra row) vectorized.
-# ---------------------------------------------------------------------------
-def q_ntile_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    B = 4
-
-    def bucket_ntile(g: pd.DataFrame) -> pd.DataFrame:
-        # exact integer-cent key; NaN day_values sort last
-        # and still get a tile — SQL NTILE tiles every row incl. NULLs
-        d, xcf = _final_day_cents(g)
-        d["day_value"] = round_half_away(xcf / 100.0, 6)
-        d = d.sort_values(
-            ["day", "day_value", "conv_id"], ascending=[True, False, True], kind="mergesort"
-        ).reset_index(drop=True)
-        pos = d.groupby("day", sort=False).cumcount().to_numpy(np.int64)
-        n = d.groupby("day", sort=False)["conv_id"].transform("size").to_numpy(np.int64)
-        base, big = n // B, n % B
-        cut = big * (base + 1)
-        # SQL NTILE: first (n % B) tiles hold base+1 rows, the rest base
-        tile = np.where(
-            pos < cut,
-            pos // np.maximum(base + 1, 1),
-            big + (pos - cut) // np.maximum(base, 1),
-        ) + 1
-        d["quartile"] = tile.astype(np.int64)
-        d["day"] = d["day"].astype("datetime64[us]")
-        return d[["day", "conv_id", "day_value", "quartile"]]
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, bucket_ntile, key="day", sort_cols=["day", "conv_id"], num_buckets=32
-    )
-
-
-SQL_NTILE_DAY = f"""{_T},
-daily AS (
-  SELECT date_trunc('day', ts) AS day, conv_id,
-         ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS day_value
-  FROM t GROUP BY 1, 2
-)
-SELECT day, conv_id, day_value,
-       CAST(NTILE(4) OVER (PARTITION BY day ORDER BY day_value DESC, conv_id ASC) AS BIGINT)
-         AS quartile
-FROM daily
-"""
-
-QUERIES["w_ntile_day"] = q_ntile_day
-ORACLES["w_ntile_day"] = SQL_NTILE_DAY
-
-
-# ---------------------------------------------------------------------------
 # Conversation reassembly: the per-turn-text-equality contract made into a
 # gated query — every conversation's turns concatenated in stable
 # (ts, _seq) order with an unambiguous separator. Byte-identical output vs
@@ -2278,90 +2188,6 @@ ORACLES["w_first_value"] = SQL_FIRST_VALUE
 
 
 # ---------------------------------------------------------------------------
-# weighted / boolean / filtered aggregates per day — the remaining SQL
-# aggregate kinds in one query: a token-length-weighted mean of value
-# (Σ w·c / Σ w on exact integers, ONE float division), BOOL_OR / BOOL_AND,
-# and a filtered count. Partial integer sums per batch -> bounded driver
-# merge (days are bounded; int64 headroom: w <= ~10^2 chars, c <= ~10^5
-# cents -> Σ w·c fits int64 past 10^11 rows/day; the merge itself is
-# object-int safe for anything beyond).
-# ---------------------------------------------------------------------------
-def q_agg_weighted_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # NULL-aware (r03 ADVICE): vc is masked before the int cast (an
-        # unmasked NaN wraps to INT64_MIN and poisons w*vc), BOOL_AND-style
-        # all_low aggregates only non-null values (SQL BOOL_AND skips the
-        # NULL comparison results), and nn lets the final reproduce SQL's
-        # all-NULL-day outputs (wmean NULL, all_low NULL).
-        v = df["value"].to_numpy(dtype="float64")
-        m = ~np.isnan(v)
-        w = df["text"].fillna("").str.len().to_numpy().astype(np.int64)
-        vc = np.where(m, np.rint(v * 100.0), 0.0).astype(np.int64)
-        d = pd.DataFrame(
-            {"day": df["ts"].astype("datetime64[us]").dt.floor("D"),
-             "wc": np.where(m, w * vc, 0), "w": w, "nn": m.astype(np.int64),
-             "any_tool": df["tool"].notna().to_numpy(),
-             "all_low": np.where(m, v < 500.0, True),  # min-identity on NULLs
-             "n_high": (vc > 10000).astype(np.int64)}
-        )
-        return d.groupby("day", as_index=False).agg(
-            wc=("wc", "sum"), w=("w", "sum"), nn=("nn", "sum"),
-            any_tool=("any_tool", "max"),
-            all_low=("all_low", "min"), n_high=("n_high", "sum")
-        )
-
-    parts = ts.map_batches(partial, batch_format="pandas").to_pandas()
-    for col in ("wc", "w", "n_high"):
-        parts[col] = parts[col].astype(object)  # Python-int exact merge
-    g = parts.groupby("day", as_index=False).agg(
-        wc=("wc", "sum"), w=("w", "sum"), nn=("nn", "sum"),
-        any_tool=("any_tool", "max"),
-        all_low=("all_low", "min"), n_high=("n_high", "sum")
-    )
-    w = g["w"].astype("float64").to_numpy()
-    wc = g["wc"].astype("float64").to_numpy()
-    nn = g["nn"].to_numpy(np.int64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        wmean = np.where((w > 0) & (nn > 0), wc / (w * 100.0), np.nan)
-    # BOOL_AND over zero non-null comparisons is NULL, not True: surface it
-    # as object None so the frame matches DuckDB's nullable boolean output
-    all_low = np.where(nn > 0, g["all_low"].astype(bool), None)
-    return pd.DataFrame(
-        {"day": g["day"].astype("datetime64[us]"),
-         "wmean_value": round_half_away(wmean, 6),
-         "any_tool": g["any_tool"].astype(bool),
-         "all_low": pd.Series(list(all_low), dtype=object)
-         if (nn == 0).any() else g["all_low"].astype(bool),
-         "n_high": g["n_high"].astype("int64")}
-    )
-
-
-SQL_AGG_WEIGHTED_DAY = f"""{_T},
-d AS (
-  SELECT date_trunc('day', ts) AS day,
-         CAST(length(coalesce(text, '')) AS BIGINT) AS w,
-         CAST(ROUND(value * 100) AS BIGINT) AS vc,
-         tool IS NOT NULL AS has_tool,
-         value < 500.0 AS low
-  FROM t
-)
-SELECT day,
-       ROUND(CASE WHEN SUM(w) > 0 THEN
-         CAST(SUM(w * vc) AS DOUBLE) / (CAST(SUM(w) AS DOUBLE) * 100.0)
-       END, 6) AS wmean_value,
-       BOOL_OR(has_tool) AS any_tool,
-       BOOL_AND(low) AS all_low,
-       CAST(COUNT(*) FILTER (WHERE vc > 10000) AS BIGINT) AS n_high
-FROM d GROUP BY day
-"""
-
-QUERIES["agg_weighted_day"] = q_agg_weighted_day
-ORACLES["agg_weighted_day"] = SQL_AGG_WEIGHTED_DAY
-
-
-# ---------------------------------------------------------------------------
 # offset-k lags / leads and NTH_VALUE — completes the navigation-function
 # window family (lag-1 = W1, lead-1 = w_lead_label): LAG(value, 3),
 # LAG(value, 2, default), LEAD(value, 2), and NTH_VALUE(value, 2) over the
@@ -2621,51 +2447,6 @@ FROM l WHERE text IS DISTINCT FROM prev
 
 QUERIES["dedup_consecutive"] = q_dedup_consecutive
 ORACLES["dedup_consecutive"] = SQL_DEDUP_CONSECUTIVE
-
-
-# ---------------------------------------------------------------------------
-# time-of-day / day-of-week seasonality profile — the calendar-dimension
-# extraction (EXTRACT(hour), EXTRACT(dow)) every temporal feature store
-# publishes: counts and exact cent sums per (hour, dow, role). Bounded
-# domain (24 x 7 x 3) -> per-batch partials + tiny driver merge, NO
-# shuffle. dow follows DuckDB/Postgres numbering (Sunday = 0).
-# ---------------------------------------------------------------------------
-def q_hour_profile(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["ts"].astype("datetime64[us]")
-        v = df["value"].to_numpy(dtype="float64")
-        m = ~np.isnan(v)  # NULL-masked cents (r03 ADVICE: NaN->int wraps)
-        d = pd.DataFrame(
-            {"hour": t.dt.hour.astype("int64"),
-             # pandas dayofweek: Monday=0 -> Postgres dow: Sunday=0
-             "dow": ((t.dt.dayofweek + 1) % 7).astype("int64"),
-             "role": df["role"],
-             "n": np.int64(1),
-             "nn": m.astype(np.int64),
-             "c": np.where(m, np.rint(v * 100.0), 0.0).astype(np.int64)}
-        )
-        return d.groupby(["hour", "dow", "role"], as_index=False).sum()
-
-    parts = ts.map_batches(partial, batch_format="pandas").to_pandas()
-    g = parts.groupby(["hour", "dow", "role"], as_index=False).sum()
-    g["n"] = g["n"].astype("int64")
-    cf = np.where(g["nn"].to_numpy() > 0, g["c"].to_numpy(np.float64), np.nan)
-    g["sum_value"] = round_half_away(cf / 100.0, 6)
-    return g.drop(columns=["c", "nn"])
-
-
-SQL_HOUR_PROFILE = f"""{_T}
-SELECT CAST(extract(hour FROM ts) AS BIGINT) AS hour,
-       CAST(extract(dow FROM ts) AS BIGINT) AS dow,
-       role, COUNT(*) AS n,
-       ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS sum_value
-FROM t GROUP BY 1, 2, 3
-"""
-
-QUERIES["agg_hour_profile"] = q_hour_profile
-ORACLES["agg_hour_profile"] = SQL_HOUR_PROFILE
 
 
 # ---------------------------------------------------------------------------
@@ -2940,255 +2721,6 @@ ASOF LEFT JOIN daily f ON t.conv_id = f.conv_id AND t.ts <= f.sts
 
 QUERIES["asof_nearest"] = q_asof_nearest
 ORACLES["asof_nearest"] = SQL_ASOF_NEAREST
-
-
-# ---------------------------------------------------------------------------
-# Per-day traffic concentration: what share of each day's total value sits
-# in its top-10 conversations — the skew diagnostic that motivates the
-# engine's hot-key salting (a day whose top10_share ~ 1.0 is exactly the
-# pathological key state/skew.py exists for). Same one-shuffle shape as
-# the rank family: exact integer-cent (day, conv) partials, a day-keyed
-# shuffle, and a per-day sort + head(10) inside the bucket. All sums stay
-# integer-valued doubles (< 2^53) on both sides, so the share division is
-# bit-identical; a zero-total day yields NULL share on both sides.
-# ---------------------------------------------------------------------------
-CONC_TOP_K = 10
-
-
-def q_day_concentration(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
-        # NULL-aware: rank on xcf with NaN last (SQL NULLS LAST); a NULL
-        # conversation inside the top-K contributes nothing (SQL SUM skips
-        # its NULL CASE arm). SQL's SUM(CASE ...) is NULL — not 0 — only
-        # when EVERY row's CASE value is NULL, i.e. the day has <= K
-        # conversations and all of them are all-NULL; total SUM(xc) is
-        # NULL iff the whole day is NULL.
-        d, xcf = _final_day_cents(g)
-        d["_xcf"] = xcf
-        d = d.sort_values(["day", "_xcf", "conv_id"],
-                          ascending=[True, False, True], kind="mergesort")
-        rk = d.groupby("day", sort=False).cumcount()
-        in_top = (rk.to_numpy() < CONC_TOP_K) & (d["nn"].to_numpy() > 0)
-        topc = d[in_top].groupby("day")["xc"].sum()
-        tot = d.groupby("day")["xc"].sum()
-        day_nn = d.groupby("day")["nn"].sum()
-        n = d.groupby("day")["conv_id"].size()
-        t = np.where(day_nn.to_numpy() > 0, tot.to_numpy(np.float64), np.nan)
-        top_is_null = (n.to_numpy() <= CONC_TOP_K) & (day_nn.to_numpy() == 0)
-        c = np.where(
-            top_is_null, np.nan,
-            topc.reindex(tot.index, fill_value=0).to_numpy(np.float64),
-        )
-        out = pd.DataFrame(
-            {"day": tot.index.astype("datetime64[us]"),
-             "n_convs": n.to_numpy(np.int64),
-             "total_value": round_half_away(t / 100.0, 6),
-             "top10_value": round_half_away(c / 100.0, 6)}
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out["top10_share"] = np.where(
-                (t != 0.0) & ~np.isnan(t), round_half_away(c / t, 6), np.nan
-            )
-        return out.reset_index(drop=True)
-
-    partials = ts.map_batches(_daily_cents_partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, bucket_final, key="day", sort_cols=["day", "conv_id"], num_buckets=32
-    )
-
-
-SQL_DAY_CONCENTRATION = f"""{_T},
-d AS (
-  SELECT date_trunc('day', ts) AS day, conv_id, SUM(ROUND(value * 100)) AS xc
-  FROM t GROUP BY 1, 2
-),
-r AS (
-  SELECT day, conv_id, xc,
-         ROW_NUMBER() OVER (PARTITION BY day ORDER BY xc DESC, conv_id ASC) AS rk
-  FROM d
-)
-SELECT day, COUNT(*) AS n_convs,
-       ROUND(SUM(xc) / 100.0, 6) AS total_value,
-       ROUND(SUM(CASE WHEN rk <= {CONC_TOP_K} THEN xc ELSE 0 END) / 100.0, 6)
-         AS top10_value,
-       CASE WHEN SUM(xc) <> 0 THEN
-         ROUND(SUM(CASE WHEN rk <= {CONC_TOP_K} THEN xc ELSE 0 END) / SUM(xc), 6)
-       END AS top10_share
-FROM r GROUP BY day
-"""
-
-QUERIES["day_concentration"] = q_day_concentration
-ORACLES["day_concentration"] = SQL_DAY_CONCENTRATION
-
-
-# ---------------------------------------------------------------------------
-# Cohort retention: conversations grouped by their FIRST active day, then
-# counted at each day offset they return — the classic activation/
-# retention matrix, over conversations. Scale shape: per-batch distinct
-# (conv, day) partials (each batch ships at most one row per conv-day it
-# saw), ONE conv-keyed shuffle where each bucket owns whole conversations
-# and computes cohort = min(day) + offsets locally, then a bounded
-# (cohort, offset) count table (days x offsets rows) merges on the
-# driver. All-integer counts; the retention ratio divides two identical
-# integers on both sides.
-# ---------------------------------------------------------------------------
-def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
-    ts = transcripts_from_events(sf_dir)
-    pruned = _prune(ts, ["conv_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"conv_id": df["conv_id"],
-             "day": df["ts"].astype("datetime64[us]").dt.floor("D")}
-        ).drop_duplicates()
-
-    def bucket_offsets(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.drop_duplicates(["conv_id", "day"])
-        cohort = d.groupby("conv_id")["day"].transform("min")
-        off = (d["day"] - cohort).dt.days.astype(np.int64)
-        out = pd.DataFrame({"cohort_day": cohort, "offset_days": off})
-        return out.groupby(["cohort_day", "offset_days"], as_index=False).agg(
-            n_convs=("offset_days", "size")
-        )
-
-    parts = pruned.map_batches(partial, batch_format="pandas")
-    per_bucket = map_conv_buckets(parts, bucket_offsets, key="conv_id",
-                                  sort_cols=["conv_id", "day"])
-    mm = per_bucket.to_pandas()
-    if mm.empty:  # zero-block Dataset loses columns; rebuild the schema
-        mm = pd.DataFrame({"cohort_day": pd.Series([], dtype="datetime64[us]"),
-                           "offset_days": pd.Series([], dtype="int64"),
-                           "n_convs": pd.Series([], dtype="int64")})
-    m = mm.groupby(["cohort_day", "offset_days"], as_index=False)["n_convs"].sum()
-    m = m.sort_values(["cohort_day", "offset_days"]).reset_index(drop=True)
-    base = m.groupby("cohort_day")["n_convs"].transform("first").to_numpy(np.float64)
-    m["retention"] = round_half_away(m["n_convs"].to_numpy(np.float64) / base, 6)
-    m["cohort_day"] = m["cohort_day"].astype("datetime64[us]")
-    m["n_convs"] = m["n_convs"].astype("int64")
-    return m
-
-
-SQL_COHORT_RETENTION = f"""{_T},
-cd AS (SELECT conv_id, date_trunc('day', ts) AS day FROM t GROUP BY 1, 2),
-ch AS (SELECT conv_id, MIN(day) AS cohort_day FROM cd GROUP BY conv_id),
-o AS (
-  SELECT ch.cohort_day,
-         CAST(date_diff('day', ch.cohort_day, cd.day) AS BIGINT) AS offset_days
-  FROM cd JOIN ch ON cd.conv_id = ch.conv_id
-),
-n AS (SELECT cohort_day, offset_days, COUNT(*) AS n_convs FROM o GROUP BY 1, 2)
-SELECT cohort_day, offset_days, n_convs,
-       ROUND(n_convs * 1.0 / FIRST_VALUE(n_convs)
-             OVER (PARTITION BY cohort_day ORDER BY offset_days), 6) AS retention
-FROM n
-"""
-
-QUERIES["cohort_retention"] = q_cohort_retention
-ORACLES["cohort_retention"] = SQL_COHORT_RETENTION
-
-
-# ---------------------------------------------------------------------------
-# Global max session concurrency: the peak number of simultaneously-active
-# sessions across the whole timeline, and the earliest instant it is
-# reached — the capacity-planning statistic (inclusive intervals: a
-# session starting at another's exact end overlaps it). This is the
-# repo's distributed PREFIX-SCAN pattern: the sweep line needs a global
-# time-ordered cumulative sum, which no single node should hold, so it
-# runs as (1) session bounds from one conv-keyed shuffle, (2) ±1 boundary
-# events day-bucketed (days are contiguous time ranges, so order across
-# buckets is free), each day reducing to (total delta, local prefix-max,
-# first ts achieving it), and (3) a driver pass over the tiny per-day
-# table that turns day totals into exclusive prefix carries — global max
-# = max(carry_d + localmax_d), no second data pass needed because only
-# the max is wanted. All-integer; the scan's total order is pinned
-# (ts, delta DESC, conv_id, session_id) identically in the SQL's ROWS
-# window.
-# ---------------------------------------------------------------------------
-def q_max_concurrency(sf_dir: str) -> pd.DataFrame:
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq"])
-
-    def session_bounds(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        codes = pd.factorize(g["conv_id"])[0]
-        gap = g["ts"].diff().dt.total_seconds()
-        brk = ((gap > SESSION_GAP_S) & (codes == np.roll(codes, 1))).astype(np.int64)
-        brk[np.concatenate([[True], codes[1:] != codes[:-1]])] = 0
-        sid = pd.Series(brk).groupby(codes, sort=False).cumsum()
-        d = pd.DataFrame({"conv_id": g["conv_id"], "sid": sid.astype(np.int64),
-                          "ts": g["ts"]})
-        b = d.groupby(["conv_id", "sid"], as_index=False).agg(
-            bts=("ts", "min"), ets=("ts", "max")
-        )
-        starts = pd.DataFrame({"conv_id": b["conv_id"], "sid": b["sid"],
-                               "ts": b["bts"], "delta": np.int64(1)})
-        ends = pd.DataFrame({"conv_id": b["conv_id"], "sid": b["sid"],
-                             "ts": b["ets"], "delta": np.int64(-1)})
-        out = pd.concat([starts, ends], ignore_index=True)
-        out["day"] = out["ts"].astype("datetime64[us]").dt.floor("D")
-        return out
-
-    bounds = map_conv_buckets(pruned, session_bounds, key="conv_id",
-                              sort_cols=["conv_id", "ts", "_seq"])
-
-    def day_scan(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["day", "ts", "delta", "conv_id", "sid"],
-                          ascending=[True, True, False, True, True],
-                          kind="mergesort").reset_index(drop=True)
-        rows = []
-        for day, dg in g.groupby("day", sort=False):
-            c = dg["delta"].to_numpy(np.int64).cumsum()
-            mx = int(c.max())
-            first = int(np.argmax(c == mx))
-            rows.append({"day": day, "total": int(c[-1]), "local_max": mx,
-                         "at_ts": dg["ts"].iloc[first]})
-        return pd.DataFrame(rows)
-
-    per_day = map_conv_buckets(bounds, day_scan, key="day",
-                               sort_cols=["day", "ts"], num_buckets=32)
-    m = per_day.to_pandas()
-    if m.empty:  # no events: match the oracle's empty LIMIT 1 result
-        return pd.DataFrame(
-            {"max_concurrency": pd.Series([], dtype="int64"),
-             "at_ts": pd.Series([], dtype="datetime64[us]")}
-        )
-    m = m.sort_values("day").reset_index(drop=True)
-    carry = m["total"].cumsum().shift(fill_value=0).to_numpy(np.int64)
-    glob = carry + m["local_max"].to_numpy(np.int64)
-    best = int(np.argmax(glob))  # first (earliest-day) occurrence of the max
-    return pd.DataFrame(
-        {"max_concurrency": pd.Series([int(glob[best])], dtype="int64"),
-         "at_ts": pd.Series([m["at_ts"].iloc[best]], dtype="datetime64[us]")}
-    )
-
-
-SQL_MAX_CONCURRENCY = f"""{_T},
-g AS (
-  SELECT conv_id, ts, _seq,
-         CASE WHEN epoch(ts - LAG(ts) OVER ({_W})) > {SESSION_GAP_S}
-              THEN 1 ELSE 0 END AS brk
-  FROM t
-),
-s AS (SELECT conv_id, ts, SUM(brk) OVER ({_W}) AS sid FROM g),
-bnd AS (
-  SELECT conv_id, sid, MIN(ts) AS ts, 1 AS delta FROM s GROUP BY conv_id, sid
-  UNION ALL
-  SELECT conv_id, sid, MAX(ts), -1 FROM s GROUP BY conv_id, sid
-),
-c AS (
-  SELECT ts, SUM(delta) OVER (
-           ORDER BY ts, delta DESC, conv_id, sid
-           ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS conc
-  FROM bnd
-)
-SELECT CAST(conc AS BIGINT) AS max_concurrency, ts AS at_ts
-FROM c ORDER BY conc DESC, ts ASC LIMIT 1
-"""
-
-QUERIES["max_concurrency"] = q_max_concurrency
-ORACLES["max_concurrency"] = SQL_MAX_CONCURRENCY
 
 
 # ---------------------------------------------------------------------------

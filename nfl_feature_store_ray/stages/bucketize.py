@@ -32,10 +32,10 @@ Hot-key salting therefore operates at the bucket level — raise B — and a
 single pathological conversation is bounded by the reading's
 `target_max_block_size` spill path. A conversation larger than a worker's
 heap runs through the window kernel with a carry instead
-(`pipelines.partitioned.window_features_streaming`,
-`state.skew.window_features_chained`): O(tail + registers) carry state per
-conversation, ordered batches, same features (equality pinned at every
-batch split by tests/test_streaming.py).
+(`pipelines.partitioned.window_features_streaming`, one task per
+partition block, and `state.skew.window_features_chained`): O(tail +
+registers) carry state per conversation, ordered batches, same features
+(equality pinned at every batch split by tests/test_streaming.py).
 
 Reference analogue: O1 global sort before windowing
 (`/root/reference/src/pumps/player_game.py:551`) — replaced by

@@ -1,10 +1,10 @@
 """The window kernel — every point-in-time window family, in polars.
 
 This module is the ONE implementation of the window families; the batch
-engine (``window_engine.window_features``), the streaming actor pool
-(``pipelines.partitioned.window_features_streaming``), the incremental
-refresh (``state.incremental``) and the chained sub-range path
-(``state.skew``) all call ``kernel_arrow``. Families (SURVEY §2.6,
+engine (``window_engine.window_features``), the streaming job, one task
+per partition block (``pipelines.partitioned.window_features_streaming``),
+the incremental refresh (``state.incremental``) and the chained sub-range
+path (``state.skew``) all call ``kernel_arrow``. Families (SURVEY §2.6,
 reference probes 1-6, transplanted to the transcript domain §7.0):
 
   W1 ``last_X``        lag-1 over the entity's ordered turns

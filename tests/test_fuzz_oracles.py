@@ -24,23 +24,18 @@ EVENTS_FUZZ_DIR = "/tmp/nfl_fs_fuzz_events_test"
 EVENT_QUERIES = [
     "w_lag_gap", "w_rolling", "w_session_avg", "w_rank_composite",
     "w_densify_seeded", "w_asof_checkpoint", "w_phase_windows", "wide_slice",
-    "w_sliding_window", "w_sliding_distinct", "w_tumbling", "w_label_split", "session_stats",
-    "resume_manifest", "w_rolling_streaming", "w_incremental_append",
-    "parse_props", "pair_join",
-    "agg_career", "w_turn_overlap", "w_novelty", "w_rolling_median",
-    "agg_variance", "role_transitions", "w_cummax", "w_expanding_corr",
-    "w_streak", "w_asof_forward", "asof_tolerance", "w_ntile_day", "w_conv_text",
-    "rollup_day_role", "clean_text", "w_expanding_distinct",
-    "set_ops_convs", "w_first_value",
-    "agg_weighted_day", "w_lag_k", "w_hopping", "cube_day_role",
-    "w_response_latency", "w_pattern_count",
-    "dedup_consecutive", "agg_hour_profile", "agg_tool_set",
-    "w_session_funnel", "split_convs",
-    "w_rolling_mode", "asof_nearest", "day_concentration", "cohort_retention",
-    "max_concurrency", "json_props", "w_late_events",
-    "w_groups_frame", "target_encode", "w_time_decay_dyadic",
-    "minmax_day", "w_rolling_grid7", "agg_gap_profile", "w_forward_sum_30m",
-    "w_chained_subrange",
+    "w_sliding_window", "w_sliding_distinct", "w_tumbling", "w_label_split",
+    "session_stats", "resume_manifest", "w_rolling_streaming",
+    "w_incremental_append", "parse_props", "pair_join", "agg_career",
+    "w_turn_overlap", "w_novelty", "w_rolling_median", "agg_variance",
+    "role_transitions", "w_cummax", "w_expanding_corr", "w_streak",
+    "w_asof_forward", "asof_tolerance", "w_conv_text", "clean_text",
+    "w_expanding_distinct", "set_ops_convs", "w_first_value", "w_lag_k",
+    "w_hopping", "w_response_latency", "w_pattern_count", "dedup_consecutive",
+    "agg_tool_set", "w_session_funnel", "split_convs", "w_rolling_mode",
+    "asof_nearest", "json_props", "w_late_events", "w_groups_frame",
+    "target_encode", "w_time_decay_dyadic", "minmax_day", "w_rolling_grid7",
+    "agg_gap_profile", "w_forward_sum_30m", "w_chained_subrange",
 ]
 
 
@@ -119,8 +114,8 @@ def test_events_fuzz_query_matches_oracle(name, events_fuzz_dir):
 NULL_EVENTS_FUZZ_DIR = "/tmp/nfl_fs_fuzz_nullval_test"
 
 NULL_VALUE_QUERIES = [
-    "w_rank_day", "w_ntile_day", "day_concentration", "w_rank_composite",
-    "agg_weighted_day", "w_hopping", "agg_hour_profile", "w_groups_frame",
+    "w_rank_day", "w_rank_composite",
+    "w_hopping", "w_groups_frame",
     "target_encode", "session_stats", "w_first_value", "w_lag_k",
     "w_time_decay_dyadic",
     # verified NULL-clean by the round-4 full-registry sweep (value NULLs
@@ -129,11 +124,11 @@ NULL_VALUE_QUERIES = [
     "w_lag_gap", "w_rolling", "w_sliding_distinct", "w_label_split",
     "resume_manifest", "parse_props", "w_turn_overlap", "w_novelty",
     "w_rolling_median", "role_transitions", "w_cummax", "w_expanding_corr",
-    "w_streak", "w_conv_text", "rollup_day_role", "clean_text",
-    "w_expanding_distinct", "set_ops_convs", "cube_day_role",
+    "w_streak", "w_conv_text", "clean_text",
+    "w_expanding_distinct", "set_ops_convs",
     "w_response_latency", "w_pattern_count", "dedup_consecutive",
     "agg_tool_set", "w_session_funnel", "split_convs", "w_rolling_mode",
-    "cohort_retention", "max_concurrency", "json_props", "w_late_events",
+    "json_props", "w_late_events",
     # all-NULL-group semantics fixed in round 4 (min_count=1 partials /
     # nn counters; SQL SUM -> NULL preserved through carry/as-of/ranking)
     "agg_variance", "w_tumbling", "w_densify", "w_densify_seeded",

@@ -1,34 +1,11 @@
-"""Property tests pinning the SQL selection rules the rank kernels
-implement: DuckDB NTILE's bucket-size rule (w_ntile_day) and quantile_disc's
-rank rule, which w_rolling_median's ceil(0.5 * n) selection follows.
-These are the invariants the fixed-scale oracle-parity gate can only sample;
-here they're checked across randomized sizes directly vs DuckDB."""
+"""Property test pinning the SQL selection rule the rank kernels
+implement: DuckDB quantile_disc's rank rule, which w_rolling_median's
+ceil(0.5 * n) selection follows. This is the invariant the fixed-scale
+oracle-parity gate can only sample; here it is checked across sizes
+directly vs DuckDB."""
 
 import duckdb
 import numpy as np
-
-
-def _ntile_rule(pos: np.ndarray, n: np.ndarray, b: int) -> np.ndarray:
-    """The engine's vectorized NTILE (transcript_queries.q_ntile_day)."""
-    base, big = n // b, n % b
-    cut = big * (base + 1)
-    return (
-        np.where(pos < cut, pos // np.maximum(base + 1, 1),
-                 big + (pos - cut) // np.maximum(base, 1))
-        + 1
-    )
-
-
-def test_ntile_rule_matches_duckdb():
-    con = duckdb.connect()
-    for n in list(range(1, 26)) + [40, 97]:
-        for b in (2, 3, 4, 7):
-            d = con.execute(
-                f"SELECT NTILE({b}) OVER (ORDER BY v) t FROM range({n}) r(v) ORDER BY v"
-            ).df()["t"].to_numpy()
-            pos = np.arange(n)
-            mine = _ntile_rule(pos, np.full(n, n), b)
-            assert (mine == d).all(), (n, b)
 
 
 def _quantile_disc_rule(n: int, q: float) -> int:
