@@ -337,84 +337,3 @@ ORACLES = {
     "agg_nullable_sum": SQL_NULLABLE_SUM,
     "q1_pricing": SQL_Q1_PRICING,
 }
-
-
-# ---------------------------------------------------------------------------
-# Data-quality constraint validation (the dbt-test family): declared
-# invariants checked distributed, one violation count per check —
-# completeness (required column non-null), domain (value > 0), KEY
-# UNIQUENESS (exact distributed duplicate detection: per-batch id
-# value_counts partials, one id-keyed shuffle, extras = total - 1 per
-# duplicated id), and REFERENTIAL INTEGRITY (orders.custkey ⊆
-# customer.custkey via the cogroup anti-join with schema hints — no
-# broadcast of the dimension's key set, which at warehouse scale doesn't
-# fit the driver). Output is the tiny (check_name, n_violations) report;
-# each check streams independently.
-# ---------------------------------------------------------------------------
-def q_dq_checks(sf_dir: str) -> pd.DataFrame:
-    from nfl_feature_store_ray.stages.join import equi_join
-
-    ev = read_table(sf_dir, "events",
-                    columns=["event_id", "value", "props"], override_num_blocks=8)
-
-    def scalar_partials(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n_null_props": [int(df["props"].isna().sum())],
-             "n_nonpos": [int((df["value"] <= 0).sum())]}
-        )
-
-    sc = ev.map_batches(scalar_partials, batch_format="pandas").to_pandas()
-    if sc.empty:  # zero-block Dataset loses columns; rebuild the schema
-        sc = pd.DataFrame({"n_null_props": pd.Series([], dtype="int64"),
-                           "n_nonpos": pd.Series([], dtype="int64")})
-
-    id_parts = ev.map_batches(
-        lambda df: df.groupby("event_id", as_index=False).agg(cnt=("event_id", "size")),
-        batch_format="pandas",
-    )
-
-    def dup_extras(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby("event_id", as_index=False)["cnt"].sum()
-        return pd.DataFrame({"extras": [int((t["cnt"] - 1)[t["cnt"] > 1].sum())]})
-
-    dup = map_conv_buckets(id_parts, dup_extras, key="event_id",
-                           sort_cols=["event_id"], num_buckets=16).to_pandas()
-
-    orders = read_table(sf_dir, "orders", columns=["o_custkey"], override_num_blocks=8)
-    cust = read_table(sf_dir, "customer", columns=["c_custkey"], override_num_blocks=8)
-    orphans = equi_join(
-        orders, cust, on="o_custkey", right_on="c_custkey", how="anti",
-        num_partitions=16,
-        left_schema_hint={"o_custkey": "int64"},
-        right_schema_hint={"c_custkey": "int64"},
-    ).count()
-
-    return pd.DataFrame(
-        {"check_name": ["events_duplicate_event_id", "events_nonpositive_value",
-                        "events_null_props", "orders_orphan_custkey"],
-         "n_violations": pd.Series(
-             [int(dup["extras"].sum()) if "extras" in dup.columns else 0,
-              int(sc["n_nonpos"].sum()), int(sc["n_null_props"].sum()),
-              int(orphans)], dtype="int64")}
-    )
-
-
-SQL_DQ_CHECKS = """
-SELECT 'events_duplicate_event_id' AS check_name,
-       CAST(COALESCE((SELECT SUM(c - 1) FROM (
-         SELECT COUNT(*) AS c FROM events GROUP BY event_id HAVING COUNT(*) > 1
-       )), 0) AS BIGINT) AS n_violations
-UNION ALL
-SELECT 'events_nonpositive_value',
-       CAST(SUM(CASE WHEN value <= 0 THEN 1 ELSE 0 END) AS BIGINT) FROM events
-UNION ALL
-SELECT 'events_null_props',
-       CAST(SUM(CASE WHEN props IS NULL THEN 1 ELSE 0 END) AS BIGINT) FROM events
-UNION ALL
-SELECT 'orders_orphan_custkey', CAST(COUNT(*) AS BIGINT)
-FROM orders o
-WHERE NOT EXISTS (SELECT 1 FROM customer c WHERE c.c_custkey = o.o_custkey)
-"""
-
-QUERIES["dq_checks"] = q_dq_checks
-ORACLES["dq_checks"] = SQL_DQ_CHECKS

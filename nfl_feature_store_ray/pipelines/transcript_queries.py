@@ -603,52 +603,6 @@ ORACLES = {
 }
 
 
-def q_range_join(sf_dir: str):
-    """Range (interval) join: each tool turn matched to the containing
-    session interval [session min_ts, session max_ts] of its conversation.
-
-    One bucket shuffle: intervals and probes both live in the
-    conversation's bucket; the match is a vectorized merge on
-    (conv_id, session_id) after sessionizing — the interval-containment
-    variant of the as-of operator family.
-    """
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("conv_id", sort=False)
-        gap = (df["ts"] - g["ts"].shift()).dt.total_seconds()
-        brk = (gap > SESSION_GAP_S).fillna(False)
-        df = df.assign(session_id=brk.groupby(df["conv_id"], sort=False).cumsum().astype("int32"))
-        iv = df.groupby(["conv_id", "session_id"], as_index=False).agg(
-            lo=("ts", "min"), hi=("ts", "max"), n_turns=("ts", "size")
-        )
-        probes = df.loc[df["role"] == "tool", ["conv_id", "_seq", "ts", "session_id"]]
-        out = probes.merge(iv, on=["conv_id", "session_id"], how="left")
-        out["n_turns"] = out["n_turns"].astype("int64")
-        return out[["conv_id", "_seq", "session_id", "lo", "hi", "n_turns"]]
-
-    return map_conv_buckets(
-        _prune(ts, ["conv_id", "ts", "_seq", "role"]), bucket_fn, key="conv_id", sort_cols=["conv_id", "ts", "_seq"]
-    )
-
-
-SQL_RANGE_JOIN = f"""{_T},
-g AS (
-  SELECT conv_id, _seq, ts, role,
-         CASE WHEN epoch(ts - LAG(ts) OVER ({_W})) > {SESSION_GAP_S} THEN 1 ELSE 0 END AS brk
-  FROM t
-),
-s AS (SELECT *, CAST(SUM(brk) OVER ({_W}) AS INTEGER) AS session_id FROM g),
-iv AS (
-  SELECT conv_id, session_id, MIN(ts) AS lo, MAX(ts) AS hi, COUNT(*) AS n_turns
-  FROM s GROUP BY 1, 2
-)
-SELECT p.conv_id, p._seq, p.session_id, iv.lo, iv.hi, iv.n_turns
-FROM (SELECT conv_id, _seq, ts, session_id FROM s WHERE role = 'tool') p
-LEFT JOIN iv ON iv.conv_id = p.conv_id AND p.ts BETWEEN iv.lo AND iv.hi
-"""
-
-
 def q_tumbling(sf_dir: str):
     """Tumbling windowed aggregate: fixed 6-hour event-time windows per
     conversation (count, sum, mean) — the windowed-aggregate shape the
@@ -693,9 +647,7 @@ SELECT conv_id,
 FROM t GROUP BY 1, 2
 """
 
-QUERIES["w_range_join"] = q_range_join
 QUERIES["w_tumbling"] = q_tumbling
-ORACLES["w_range_join"] = SQL_RANGE_JOIN
 ORACLES["w_tumbling"] = SQL_TUMBLING
 
 
@@ -1010,10 +962,10 @@ def q_asof_daily(sf_dir: str):
     )
 
 
-def _asof_daily_sides(sf_dir: str, side_col: str = "day_value"):
-    """Shared setup for the daily as-of queries: ONE pruned pass over the
-    transcript table feeds BOTH join sides. The 4-column base is
-    materialized once (asof_join's schema() probe + the union would
+def _asof_daily_sides(sf_dir: str):
+    """Shared setup for ``asof_daily`` and ``asof_tolerance``: ONE pruned
+    pass over the transcript table feeds BOTH join sides. The 4-column base
+    is materialized once (asof_join's schema() probe + the union would
     otherwise each re-execute the lazy derivation); the bounded right side
     (one row per (conv, day)) aggregates FROM that same base instead of a
     second full read+derive of the events table."""
@@ -1046,7 +998,7 @@ def _asof_daily_sides(sf_dir: str, side_col: str = "day_value"):
                 "conv_id": d["conv_id"],
                 # summary becomes available when its day CLOSES
                 "ts": (d["day"] + pd.Timedelta(days=1)).astype("datetime64[us]"),
-                side_col: round_half_away(d["day_c"] / 100.0, 6),
+                "day_value": round_half_away(d["day_c"] / 100.0, 6),
             }
         )
 
@@ -1865,40 +1817,6 @@ FROM i
 QUERIES["w_streak"] = q_streak
 ORACLES["w_streak"] = SQL_STREAK
 
-# ---------------------------------------------------------------------------
-# FORWARD as-of join: the scheduling complement of asof_daily. Each turn is
-# stamped with its conversation's value summary at the NEXT day close at or
-# after the turn (direction='forward', inclusive) — the "end-of-day outcome"
-# label-attachment pattern. Forward matches read the future by construction,
-# so this op is for label/annotation attachment, never feature backfill
-# (reference J7/W8 generalized the other way; SURVEY §2.6 W8).
-# ---------------------------------------------------------------------------
-def q_asof_forward(sf_dir: str):
-    from nfl_feature_store_ray.state.asof import asof_join
-
-    left, right = _asof_daily_sides(sf_dir, side_col="day_close_value")
-    joined = asof_join(
-        left, right, key="conv_id", on="ts",
-        allow_exact_matches=True, direction="forward",
-    )
-    return joined.map_batches(
-        lambda df: df[["conv_id", "_seq", "day_close_value"]], batch_format="pandas"
-    )
-
-
-SQL_ASOF_FORWARD = f"""{_T},
-daily AS (
-  SELECT conv_id, date_trunc('day', ts) + INTERVAL 1 DAY AS sts,
-         ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS day_close_value
-  FROM t GROUP BY conv_id, date_trunc('day', ts)
-)
-SELECT t.conv_id, t._seq, d.day_close_value
-FROM t ASOF LEFT JOIN daily d ON t.conv_id = d.conv_id AND t.ts <= d.sts
-"""
-
-QUERIES["w_asof_forward"] = q_asof_forward
-ORACLES["w_asof_forward"] = SQL_ASOF_FORWARD
-
 
 # ---------------------------------------------------------------------------
 # Conversation reassembly: the per-turn-text-equality contract made into a
@@ -2678,49 +2596,6 @@ FROM c
 
 QUERIES["w_rolling_mode"] = q_rolling_mode
 ORACLES["w_rolling_mode"] = SQL_ROLLING_MODE
-
-
-# ---------------------------------------------------------------------------
-# NEAREST as-of join — completes the direction family (backward =
-# asof_daily, forward = w_asof_forward, toleranced = asof_tolerance).
-# Each turn is stamped with its conversation's day summary whose
-# availability time is CLOSEST to the turn in either direction, with the
-# equal-distance tie pinned to backward inside the bucket kernel
-# (state/asof.py) — the "closest checkpoint" annotation-attachment
-# pattern. SQL = both-direction ASOF joins + a distance CASE, exactly the
-# kernel's pick rule.
-# ---------------------------------------------------------------------------
-def q_asof_nearest(sf_dir: str):
-    from nfl_feature_store_ray.state.asof import asof_join
-
-    left, right = _asof_daily_sides(sf_dir, side_col="near_day_value")
-    joined = asof_join(
-        left, right, key="conv_id", on="ts",
-        allow_exact_matches=True, direction="nearest",
-    )
-    return joined.map_batches(
-        lambda df: df[["conv_id", "_seq", "near_day_value"]], batch_format="pandas"
-    )
-
-
-SQL_ASOF_NEAREST = f"""{_T},
-daily AS (
-  SELECT conv_id, date_trunc('day', ts) + INTERVAL 1 DAY AS sts,
-         ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS day_value
-  FROM t GROUP BY conv_id, date_trunc('day', ts)
-)
-SELECT t.conv_id, t._seq,
-       CASE WHEN b.sts IS NULL THEN f.day_value
-            WHEN f.sts IS NULL THEN b.day_value
-            WHEN (t.ts - b.sts) <= (f.sts - t.ts) THEN b.day_value
-            ELSE f.day_value END AS near_day_value
-FROM t
-ASOF LEFT JOIN daily b ON t.conv_id = b.conv_id AND t.ts >= b.sts
-ASOF LEFT JOIN daily f ON t.conv_id = f.conv_id AND t.ts <= f.sts
-"""
-
-QUERIES["asof_nearest"] = q_asof_nearest
-ORACLES["asof_nearest"] = SQL_ASOF_NEAREST
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, shuffle_buckets, 
 from nfl_feature_store_ray.state.window_kernel_pl import _pl
 
 _SIDE_COL = "_asof_side"
-_R_ON = "_asof_r_on"  # the matched right row's `on`, for the nearest pick
-_FWD = "_asof_fwd_"  # prefix of the forward scan's columns
 
 
 def _arrow_types(ds: ray.data.Dataset) -> dict:
@@ -50,26 +48,17 @@ def asof_join(
     allow_exact_matches: bool = False,
     num_buckets: int | None = None,
     suffix: str = "_r",
-    direction: str = "backward",
     tolerance=None,
 ) -> ray.data.Dataset:
-    """Sorted-merge as-of join; ``direction`` picks the match side.
-
-    ``backward`` (default): left row at t gets the latest right row with
-    t' < t (strict — the leakage-free shift semantics the reference's J7
-    "latest value" lookup implies). ``forward``: the EARLIEST right row
-    with t' >= t (inclusive when ``allow_exact_matches``) — the scheduling
-    complement ("next checkpoint after this turn"); forward matches read
-    the future by construction, so it is never used for feature
-    backfill, only for label/annotation attachment. ``nearest`` picks the
-    closer of the two directions per left row with the equal-distance tie
-    PINNED to backward (polars and pandas leave it unspecified) — both
-    scans run in the same bucket task, so it still costs one shuffle.
+    """Sorted-merge backward as-of join: a left row at t gets the latest
+    right row of its key with t' < t (strict — the leakage-free shift
+    semantics the reference's J7 "latest value" lookup implies), or
+    t' <= t when ``allow_exact_matches``.
 
     ``tolerance`` (a ``pd.Timedelta`` when ``on`` is a timestamp) bounds
-    the match distance: a left row whose closest right row is farther than
-    the tolerance gets nulls — the "stale feature vectors don't backfill"
-    guard rail.
+    the match distance: a left row whose latest earlier right row is
+    farther than the tolerance gets nulls — the "stale feature vectors
+    don't backfill" guard rail.
 
     Right-side value columns that collide with left columns get ``suffix``.
     Every column keeps its input Arrow type; unmatched rows get nulls. A
@@ -113,29 +102,11 @@ def asof_join(
         lf = rows.filter(is_left).select(left_cols).sort([on, key], maintain_order=True)
         rf = rows.filter(~is_left).select([key, on] + right_out)
         rf = rf.sort([on, key], maintain_order=True)
-
-        def join(r, strategy: str):
-            return lf.join_asof(
-                r, on=on, by=key, strategy=strategy,
-                allow_exact_matches=allow_exact_matches, tolerance=tolerance,
-                check_sortedness=False,  # both sides sorted just above
-            )
-
-        if direction == "nearest":
-            # two explicit scans pin the equal-distance tie to backward, so
-            # the result is SQL-expressible as two ASOF joins + a distance
-            # CASE. Same ONE shuffle — both scans run in this bucket task.
-            rf = rf.with_columns(pl.col(on).alias(_R_ON))
-            fwd = join(rf, "forward").select(pl.col([_R_ON] + right_out).name.prefix(_FWD))
-            b_on, f_on, t = pl.col(_R_ON), pl.col(_FWD + _R_ON), pl.col(on)
-            use_b = b_on.is_not_null() & (f_on.is_null() | ((t - b_on) <= (f_on - t)))
-            out = pl.concat([join(rf, "backward"), fwd], how="horizontal").select(
-                left_cols + [pl.when(use_b).then(pl.col(c)).otherwise(pl.col(_FWD + c)).alias(c)
-                             for c in right_out]
-            )
-        else:
-            out = join(rf, direction)
-        out = out.collect().to_arrow()
+        out = lf.join_asof(
+            rf, on=on, by=key, strategy="backward",
+            allow_exact_matches=allow_exact_matches, tolerance=tolerance,
+            check_sortedness=False,  # both sides sorted just above
+        ).collect().to_arrow()
         # polars hands strings back as large_string: restore the input types
         for i, got in enumerate(out.schema):
             want = out_types[got.name] or bucket.schema.field(got.name).type

@@ -5,13 +5,16 @@ order-insensitive value compare at 6dp. A query without an oracle
 fails. Runs on a one-CPU Ray session, the benchmark's setting, so a job
 that needs a second CPU to make progress hangs here instead of hiding.
 Prints one line per query and a final tally.
-Usage: python scripts/full_sweep.py [sf_dir]
+Usage: python scripts/full_sweep.py [sf_dir], from the checkout's root:
+the driver imports this checkout's package, and Ray's workers import it
+from the driver's working directory.
 """
 import sys
 import warnings
+from pathlib import Path
 
 warnings.filterwarnings("ignore")
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # this checkout
 
 import duckdb
 import numpy as np

@@ -66,53 +66,6 @@ def test_asof_strict_backward():
     assert (m["fts"] < m["ts"]).all()
 
 
-def test_asof_nearest_tie_pinned_backward():
-    """direction='nearest' must pick the closer side and pin the
-    equal-distance tie to BACKWARD (the engine's documented rule — pandas
-    leaves it unspecified, so this is asserted against a hand-built truth
-    table, not merge_asof)."""
-    base = pd.Timestamp("2024-01-01 12:00:00")
-    left = pd.DataFrame(
-        {
-            "conv_id": ["a", "a", "a", "a", "b"],
-            "ts": [
-                base,                                # exact tie: bwd@-10s, fwd@+10s
-                base + pd.Timedelta(seconds=100),    # closer forward (+5s vs -90s)
-                base - pd.Timedelta(seconds=3600),   # only forward exists
-                base + pd.Timedelta(seconds=10**6),  # only backward exists
-                base,                                # conv with no right rows at all
-            ],
-            "k": [0, 1, 2, 3, 4],
-        }
-    )
-    right = pd.DataFrame(
-        {
-            "conv_id": ["a", "a", "a"],
-            "ts": [
-                base - pd.Timedelta(seconds=10),
-                base + pd.Timedelta(seconds=10),
-                base + pd.Timedelta(seconds=105),
-            ],
-            "v": [1.0, 2.0, 3.0],
-        }
-    )
-    out = (
-        asof_join(
-            rd.from_pandas(left), rd.from_pandas(right), key="conv_id", on="ts",
-            allow_exact_matches=True, direction="nearest", num_buckets=2,
-        )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    # k=0: tie -> backward (v=1); k=1: nearest is +5s (v=3);
-    # k=2: no backward -> forward (v=1); k=3: no forward -> backward (v=3);
-    # k=4: no match -> NaN
-    np.testing.assert_allclose(
-        out["v"].to_numpy(), [1.0, 3.0, 1.0, 3.0, np.nan], equal_nan=True
-    )
-
-
 def test_asof_default_buckets_match_explicit_64():
     events, feats = _frames()
 
@@ -149,34 +102,21 @@ def _assert_matches_pandas(out: pd.DataFrame, expected: pd.DataFrame, key, value
         )
 
 
-def test_asof_forward_matches_pandas():
-    events, feats = _frames()
-    for exact in (False, True):
-        out = asof_join(
-            rd.from_pandas(events), rd.from_pandas(feats), num_buckets=4,
-            direction="forward", allow_exact_matches=exact,
-        ).to_pandas()
-        expected = _pandas_asof(events, feats, direction="forward", allow_exact_matches=exact)
-        _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
-
-
 def test_asof_tolerance_matches_pandas():
     events, feats = _frames()
     # a match exactly at the tolerance distance counts (inclusive bound)
     events.loc[1, ["conv_id", "ts"]] = [
         feats.loc[0, "conv_id"], feats.loc[0, "ts"] + pd.Timedelta(hours=6)
     ]
-    for direction in ("backward", "forward"):
-        out = asof_join(
-            rd.from_pandas(events), rd.from_pandas(feats), num_buckets=4,
-            direction=direction, tolerance=pd.Timedelta(hours=6),
-        ).to_pandas()
-        expected = _pandas_asof(
-            events, feats, direction=direction, allow_exact_matches=False,
-            tolerance=pd.Timedelta(hours=6),
-        )
-        assert expected["feat"].notna().any() and expected["feat"].isna().any()
-        _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
+    out = asof_join(
+        rd.from_pandas(events), rd.from_pandas(feats), num_buckets=4,
+        tolerance=pd.Timedelta(hours=6),
+    ).to_pandas()
+    expected = _pandas_asof(
+        events, feats, allow_exact_matches=False, tolerance=pd.Timedelta(hours=6),
+    )
+    assert expected["feat"].notna().any() and expected["feat"].isna().any()
+    _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
 
 
 def test_asof_suffix_renames_colliding_right_columns():
@@ -191,20 +131,19 @@ def test_asof_suffix_renames_colliding_right_columns():
 
 
 def test_asof_right_rows_sharing_a_ts():
-    """Several right rows at one ts: backward takes the last of them and
-    forward the first, in right-input order (pandas merge_asof's rule)."""
+    """Several right rows at one ts: the join takes the last of them, in
+    right-input order (pandas merge_asof's backward rule)."""
     events, feats = _frames()
     first = feats.iloc[::3].assign(feat=lambda d: d["feat"] + 10.0)
     last = feats.iloc[1::3].assign(feat=lambda d: d["feat"] + 20.0)
     right = pd.concat([first, feats, last], ignore_index=True)
-    for direction, dup_lo in (("backward", 20.0), ("forward", 10.0)):
-        out = asof_join(
-            rd.from_pandas(events), rd.from_pandas(right), num_buckets=4,
-            direction=direction, allow_exact_matches=True,
-        ).to_pandas()
-        expected = _pandas_asof(events, right, direction=direction, allow_exact_matches=True)
-        assert expected["feat"].between(dup_lo, dup_lo + 1.0).any()
-        _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
+    out = asof_join(
+        rd.from_pandas(events), rd.from_pandas(right), num_buckets=4,
+        allow_exact_matches=True,
+    ).to_pandas()
+    expected = _pandas_asof(events, right, allow_exact_matches=True)
+    assert expected["feat"].between(20.0, 21.0).any()  # `last` (+20) wins the tie
+    _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat"])
 
 
 def test_asof_output_types_are_the_input_types():

@@ -225,40 +225,3 @@ def test_late_events_planted_out_of_order(tmp_path, ray_session):
     s = con.execute(e.oracle_sql()["w_late_events"]).df().sort_values(
         "conv_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(r, s[r.columns.tolist()], check_dtype=False)
-
-
-def test_dq_checks_planted_dirty_corpus(tmp_path, ray_session):
-    """The shipped testdata is clean (all four checks = 0), so this
-    plants known violations: 2 duplicated event_ids (3 extra rows), 2
-    non-positive values, 1 null props, and 2 orders pointing at a
-    missing customer."""
-    import duckdb
-
-    base = pd.Timestamp("2024-05-01")
-    ev = pd.DataFrame(
-        {"event_id": [0, 1, 1, 2, 2, 2, 3, 4],      # id 1 x2, id 2 x3 -> 3 extras
-         "ts": [base + pd.Timedelta(seconds=i) for i in range(8)],
-         "user_id": 7, "event_type": "click",
-         "value": [1.0, 0.0, -2.5, 1.0, 1.0, 1.0, 5.0, 1.0],  # 2 non-positive
-         "props": ["{}", None, "{}", "{}", "{}", "{}", "{}", "{}"]}  # 1 null
-    )
-    ev["ts"] = ev["ts"].astype("datetime64[us]")
-    orders = pd.DataFrame({"o_custkey": [10, 10, 99, 98]})  # 99, 98 orphaned
-    cust = pd.DataFrame({"c_custkey": [10, 11]})
-    d = tmp_path / "dq"
-    d.mkdir()
-    ev.to_parquet(d / "events.parquet", index=False)
-    orders.to_parquet(d / "orders.parquet", index=False)
-    cust.to_parquet(d / "customer.parquet", index=False)
-    import __ray_entry__ as e
-
-    r = e.queries()["dq_checks"](str(d))
-    r = (r.to_pandas() if not isinstance(r, pd.DataFrame) else r).sort_values(
-        "check_name").reset_index(drop=True)
-    assert r["n_violations"].tolist() == [3, 2, 1, 2], r
-    con = duckdb.connect()
-    for t in ("events", "orders", "customer"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')")
-    s = con.execute(e.oracle_sql()["dq_checks"]).df().sort_values(
-        "check_name").reset_index(drop=True)
-    pd.testing.assert_frame_equal(r, s[r.columns.tolist()], check_dtype=False)
