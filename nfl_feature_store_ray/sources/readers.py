@@ -21,29 +21,12 @@ def read_table(
     sf_dir: str,
     name: str,
     columns: list[str] | None = None,
-    fmt: str = "parquet",
     **kwargs,
 ) -> ray.data.Dataset:
-    """Read one logical table from ``sf_dir`` with column pruning.
+    """Read ``{sf_dir}/{name}.parquet`` with column pruning.
 
     ``columns`` goes straight to ``ray.data.read_parquet`` so only the
     requested columns (and only matching row groups when a ``filter``
     expression is passed through ``kwargs``) leave storage.
-
-    ``fmt`` selects the source format: ``parquet`` (default; true column
-    pruning at the read), ``csv`` or ``json`` (newline-delimited). The
-    row formats cannot prune at storage, so the projection is applied as
-    the first map stage instead — same downstream pipeline either way.
     """
-    path = os.path.join(sf_dir, f"{name}.{ 'parquet' if fmt == 'parquet' else fmt}")
-    if fmt == "parquet":
-        return ray.data.read_parquet(path, columns=columns, **kwargs)
-    if fmt == "csv":
-        ds = ray.data.read_csv(path, **kwargs)
-    elif fmt == "json":
-        ds = ray.data.read_json(path, **kwargs)
-    else:
-        raise ValueError(f"unsupported source format: {fmt!r}")
-    if columns:
-        ds = ds.select_columns(columns)
-    return ds
+    return ray.data.read_parquet(os.path.join(sf_dir, f"{name}.parquet"), columns=columns, **kwargs)

@@ -3,7 +3,10 @@
 One hash-bucket shuffle on ``conv_id`` (stages.bucketize), then the window
 kernel (``state.window_kernel_pl.kernel_arrow``, which documents every
 window family and the null and leakage contracts) over each bucket of
-whole conversations, Arrow in and Arrow out.
+whole conversations, Arrow in and Arrow out. The kernel runs each bucket
+as one polars plan of whole-frame scans that restart at conversation
+starts, so its output for a conversation does not depend on which other
+conversations share the bucket: any bucket count gives the same bytes.
 """
 
 from __future__ import annotations

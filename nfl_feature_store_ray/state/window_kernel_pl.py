@@ -9,6 +9,7 @@ reference probes 1-6, transplanted to the transcript domain §7.0):
 
   W1 ``last_X``        lag-1 over the entity's ordered turns
   W2 ``form_X``        rolling-FORM_WINDOW mean, min_periods=1, shifted 1
+                       (integer-cent window sum / non-null count)
   W3 ``session_avg_X`` per-session expanding mean SEEDED with the entity's
                        final raw value of the prior session, shifted 1;
                        session-start row carries the prior session's final
@@ -30,7 +31,19 @@ by tests/test_leakage.py.
 Null contract: metric NULLs get SQL aggregate semantics — every family
 computes over the NON-NULL values in its frame and yields NULL when the
 frame holds none; ``last_X`` stays raw LAG; EWMA runs over the non-null
-subsequence; session seeds take the last non-null raw value.
+subsequence; session seeds take the last non-null raw value. A NaN
+metric value counts as NULL.
+
+One plan. Each call builds one lazy polars plan over the frame sorted by
+(conv_id, ts, tie) and collects it once. Every conversation-level family
+is a whole-frame scan that restarts at segment starts, keyed on row
+indices rather than a regrouping ``.over()``: prior sums are Int64
+cumulative sums of cents and counts minus their value at the segment's
+(or session's) first row, lags are shifts masked at segment starts, and
+"last prior tool / phase / non-null row" is a forward-filled row index
+gathered from. Only the EWMA recursion (per conversation) and the
+per-phase aggregates (a (conv, role) run is not contiguous) keep
+``.over()``.
 
 Carried state. ``kernel_arrow(..., carry=table)`` continues every
 conversation from a per-conversation carry table (``empty_carry`` starts
@@ -41,13 +54,14 @@ max(FORM_WINDOW, COVER_WINDOW) rows of the tool flag and each metric, and
 per metric the exact cents sum, non-null count, EWMA register and the
 open session's sum / count / last value / seed / previous final — plus the
 same registers per phase. The tail rows re-enter the batch as "ghost" rows
-in front of each carried conversation, so the rolling families and the
-EWMA recursion run through the same polars expressions as an unsplit
-batch; the unbounded families add the carried registers. Every family is
-therefore bit-identical to the unsplit kernel at any split point except
-the rolling means (``form_*``), whose sliding sums start from the carried
-tail (rtol 1e-9). A batch that starts before a conversation's carried
-watermark raises ``ValueError``.
+in front of each carried conversation, so the rolling windows (integer-
+cent sums, ``form_*`` included) and the EWMA recursion run through the
+same expressions as an unsplit batch; the expanding families start at the
+first batch row and add the carried registers. Without a carry the
+registers are literal zeros and the plan has no ghost rows. Every family
+is therefore bit-identical to the unsplit kernel at any split point, and
+to a call over any other set of conversations. A batch that starts before
+a conversation's carried watermark raises ``ValueError``.
 
 Thread cap: POLARS_MAX_THREADS=1 is pinned before the first polars import
 in each Ray worker so many workers don't each spawn a full thread pool.
@@ -57,7 +71,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -123,6 +136,18 @@ def empty_carry(metrics: tuple[str, ...] = ("value",), phases: tuple[str, ...] =
     return _carry_schema(metrics, phases).empty_table()
 
 
+def _features(metrics, phases, assign_turn_idx) -> list[str]:
+    """The features the kernel appends to its input, in their order."""
+    return [
+        "gap_s", *(["turn_idx"] if assign_turn_idx else []), "session_id", "session_turn_idx",
+        *[f"n_prior_{ro}" for ro in _ROLES],
+        "turns_since_tool", "secs_since_tool", "roll10_tool_rate",
+        *[f"{f}_{m}" for m in metrics for f in ("last", "form", "avg", "ewma")],
+        *[f"session_avg_{m}" for m in metrics],
+        *[f"{f}_{m}_{p}" for p in phases for m in metrics for f in _PHASE_FAMS],
+    ]
+
+
 def kernel_arrow(
     tbl,
     metrics: tuple[str, ...] = ("value",),
@@ -143,20 +168,21 @@ def kernel_arrow(
     ``(features, carry_out)``; ``carry_out`` holds every conversation of
     ``carry`` and of ``tbl``."""
     pl = _pl()
-    lf = pl.from_arrow(tbl)
+    df = pl.from_arrow(tbl)
     if sort:
-        tie = tie_col or next((t for t in ("turn_idx", "_seq") if t in lf.columns), None)
-        keys = ["conv_id", "ts"] + ([tie] if tie else [])
-        lf = lf.sort(keys)
-    if "turn_idx" in lf.columns and not assign_turn_idx:
+        tie = tie_col or next((t for t in ("turn_idx", "_seq") if t in df.columns), None)
+        df = df.sort(["conv_id", "ts"] + ([tie] if tie else []))
+    if "turn_idx" in df.columns and not assign_turn_idx:
         # engine invariant (FIXTURES.md F1): (conv_id, turn_idx) unique
-        n_dup = lf.select(pl.struct(["conv_id", "turn_idx"]).is_duplicated().sum()).item()
+        n_dup = df.select(pl.struct(["conv_id", "turn_idx"]).is_duplicated().sum()).item()
         if n_dup:
             raise ValueError(f"duplicate (conv_id, turn_idx) rows in input: {n_dup}")
+    cols = df.columns + [
+        f for f in _features(metrics, phases, assign_turn_idx) if f not in df.columns
+    ]
     if carry is None:
-        return _apply_window_exprs(
-            pl, lf, metrics, session_gap_s, assign_turn_idx, phases
-        ).to_arrow()
+        plan = _window_plan(pl, df.lazy(), metrics, session_gap_s, assign_turn_idx, phases)
+        return plan.select(cols).collect().to_arrow()
 
     schema = _carry_schema(metrics, phases)
     if carry.schema.names != schema.names:
@@ -164,40 +190,38 @@ def kernel_arrow(
             "carry columns do not match the kernel's metrics/phases "
             f"(metrics={metrics}, phases={phases})"
         )
-    if lf.height == 0:
+    if df.height == 0:
         return kernel_arrow(tbl, metrics, session_gap_s, assign_turn_idx, False,
                             tie_col, phases), carry
     # only the batch's conversations enter polars; the rest pass through
-    in_batch = pc.is_in(carry["conv_id"], value_set=lf["conv_id"].unique().to_arrow())
-    frame = _with_ghosts(pl, lf, pl.from_arrow(carry.filter(in_batch)), metrics, phases)
-    out, new = _apply_window_exprs(
-        pl, frame, metrics, session_gap_s, assign_turn_idx, phases, carried=True
-    )
-    late = out.filter(pl.col("_late"))
+    in_batch = pc.is_in(carry["conv_id"], value_set=df["conv_id"].unique().to_arrow())
+    frame = _with_ghosts(pl, df, pl.from_arrow(carry.filter(in_batch)), metrics, phases)
+    out = _window_plan(
+        pl, frame, metrics, session_gap_s, assign_turn_idx, phases, ghosts=True
+    ).collect()
+    real = pl.col("_g") == 0
+    # a batch row earlier than its conversation's carried last ts
+    late = out.filter(real & (pl.col("gap_s") < 0) & (pl.col("_g").shift(1) == 1))
     if late.height:
         conv, ts = late["conv_id"][0], late["ts"][0]
         wm = carry.filter(pc.equal(carry["conv_id"], conv))["last_ts"][0]
         raise ValueError(
             f"watermark violation for conv {conv}: batch starts at {ts} before watermark {wm}"
         )
-    # the no-carry column set: input columns, then the new features
-    frame_cols = set(frame.collect_schema().names())
-    keep = lf.columns + [
-        c for c in out.columns if c not in frame_cols and not c.startswith("_")
-    ]
-    feats = out.filter(pl.col("_g") == 0).select(keep)
     carry = pa.concat_tables([
-        carry.filter(pc.invert(in_batch)), new.select(schema.names).to_arrow().cast(schema),
+        carry.filter(pc.invert(in_batch)),
+        _carry_out(pl, out, metrics, phases).select(schema.names).to_arrow().cast(schema),
     ])
-    return feats.to_arrow(), carry
+    return out.filter(real).select(cols).to_arrow(), carry
 
 
-def _with_ghosts(pl, lf, hit, metrics, phases):
+def _with_ghosts(pl, df, hit, metrics, phases):
     """The batch (lazy) with each carried conversation's tail rows in front
-    of it (``_g`` = 1 conversation tail, 2 phase tail, 0 the batch's own
-    rows) and the carried registers joined on as ``_r_*`` columns."""
+    of it (``_g`` = 2 phase tail, 1 conversation tail, 0 the batch's own
+    rows; ``_ph`` puts the phase tails in a segment of their own) and the
+    carried registers joined on as ``_r_*`` columns."""
     c = pl.col
-    dtypes = lf.schema
+    dtypes = df.schema
     last_in_conv = (c("conv_id") != c("conv_id").shift(-1)).fill_null(True)
 
     def ghosts(kind, role, tails, ewmas):
@@ -230,347 +254,250 @@ def _with_ghosts(pl, lf, hit, metrics, phases):
     ]
     parts.append(ghosts(1, None, [f"tail_{m}" for m in metrics], [f"ewma_{m}" for m in metrics]))
 
+    # counters and cents sums enter the plan as Int64 (0 for a conversation
+    # the carry has not seen); the other registers stay null there
+    counters = [k for k in hit.columns if k.startswith(
+        ("turns", "session", "n_", "sum_", "cnt_", "ssum_", "scnt_"))]
     regs = hit.select(
         "conv_id",
-        (c("turns") - c("tail_tool").list.len()).alias("_r_off"),
+        c("tail_tool").list.len().cast(pl.Int64).alias("_r_ng"),
         c("tool_ts").cast(dtypes["ts"]).alias("_r_tool_ts"),
-        *[c(k).alias(f"_r_{k}") for k in hit.columns
-          if k not in ("conv_id", "turns", "last_ts", "tool_ts") and not k.startswith("tail_")],
+        *[c(k).cast(pl.Int64).alias(f"_r_{k}") for k in counters],
+        *[c(k).alias(f"_r_{k}") for k in hit.columns if k.startswith(
+            ("tool_pos", "slast_", "seed_", "pfinal_", "prev_"))],
     )
-    zero = [k for k in regs.columns if k == "_r_off" or k.startswith(
-        ("_r_session", "_r_n_", "_r_sum_", "_r_cnt_", "_r_ssum_", "_r_scnt_"))]
     return (
-        pl.concat([*parts, lf.lazy().with_columns(pl.lit(0, pl.Int8).alias("_g"))],
+        pl.concat([*parts, df.lazy().with_columns(pl.lit(0, pl.Int8).alias("_g"))],
                   how="diagonal")
         .sort("conv_id", maintain_order=True)
         .join(regs.lazy(), on="conv_id", how="left", maintain_order="left")
-        .with_columns(*[c(k).fill_null(0) for k in zero], (c("_g") == 2).alias("_ph"))
+        .with_columns(*[c(f"_r_{k}").fill_null(0) for k in ["ng", *counters]],
+                      (c("_g") == 2).alias("_ph"))
     )
 
 
-def _apply_window_exprs(
-    pl,
-    lf,
-    metrics,
-    session_gap_s,
-    assign_turn_idx,
-    phases=(),
-    carried=False,
-):
-    """Every window family over one frame sorted by (conv_id, ts, tie).
+def _window_plan(pl, lf, metrics, session_gap_s, assign_turn_idx, phases, ghosts=False):
+    """Every window family over one lazy frame sorted by (conv_id, ts, tie).
 
-    ``carried`` frames come from ``_with_ghosts`` as a LazyFrame: ghost
-    rows are masked out of every count and sum, the registers are added,
-    and the function collects ``(frame, carry_out)`` together, with the
-    helper columns still on."""
+    Each family is a whole-frame scan that restarts at segment starts
+    (a new conversation): an Int64 cumulative sum minus its value at a
+    start row, a shift masked at the start, or a gather at the last
+    qualifying row before the row. The start rows are row indices: ``_cs``
+    the segment's first row, ``_rs`` its first batch row, ``_ss`` the
+    session's first row and ``_es`` the session's first batch row.
+
+    ``ghosts`` frames come from ``_with_ghosts``: the carried tail rows
+    lead their segment, so the rolling windows and the EWMA recursion run
+    through them, while the expanding families start at ``_rs`` and add
+    the carried ``_r_*`` registers. Without ghosts every register is the
+    literal state of a conversation not seen before."""
     c = pl.col
-    conv = c("conv_id")
-    real = c("_g") == 0
+    i64, f64 = pl.Int64, pl.Float64
+    i = c("_i")
+    new = c("conv_id") != c("conv_id").shift(1)
+    if ghosts:
+        new = new | (c("_ph") != c("_ph").shift(1))
 
-    def r(name):
-        return c(f"_r_{name}")
+    def r(name, fresh=0):
+        return c(f"_r_{name}") if ghosts else pl.lit(fresh)
 
-    # phase-tail ghosts sit in their own partition for the conversation-
-    # level windows, so only conversation-tail ghosts precede the rows
-    over = {"partition_by": ["conv_id", "_ph"] if carried and phases else "conv_id"}
-    pos = conv.cum_count().over(**over) - 1
-    exprs = [
-        (c("ts") - c("ts").shift(1)).dt.total_microseconds().truediv(1e6)
-        .over(**over)
-        .alias("gap_s"),
-    ]
-    if carried:
-        pos = pos + r("off")
-        exprs.append(pos.alias("_pos"))
-    if assign_turn_idx:
-        exprs.append(pos.cast(pl.Int32).alias("turn_idx"))
-    lf = lf.with_columns(exprs)
-    if carried:
-        pos = c("_pos")
+    def opened(name, other=None):
+        """the carried register ``name`` in the session the carry left open"""
+        return pl.when(c("_open")).then(r(name, other)).otherwise(other)
 
-    sess = (c("gap_s") > session_gap_s).fill_null(False).cast(pl.Int32).cum_sum().over(**over)
-    if carried:
-        lf = lf.with_columns(
-            (sess + r("session_id")).alias("session_id"),
-            # a batch row earlier than its conversation's carried last ts
-            (real & (c("gap_s") < 0) & (c("_g").shift(1).over(**over) == 1)).alias("_late"),
-        )
-    else:
-        lf = lf.with_columns(sess.alias("session_id"))
-    if carried:
-        sti = (
-            real.cast(pl.Int32).cum_sum().over("conv_id", "session_id") - 1
-            + pl.when(c("session_id") == r("session_id")).then(r("session_turns")).otherwise(0)
-        )
-    else:
-        sti = conv.cum_count().over("conv_id", "session_id") - 1
-    lf = lf.with_columns(sti.cast(pl.Int32).alias("session_turn_idx"))
+    def lag(e):
+        return pl.when(c("_new")).then(None).otherwise(e.shift(1))
 
-    role_exprs = []
-    for ro in _ROLES:
-        oh = c(f"is_{ro}").cast(pl.Int64)
-        if carried:
-            oh = oh * real.cast(pl.Int64)
-        n_prior = (oh.cum_sum() - oh).over(**over)
-        role_exprs.append((n_prior + r(f"n_{ro}") if carried else n_prior).alias(f"n_prior_{ro}"))
-    it = c("is_tool").cast(pl.Int64)
-    is_tool = (it == 1) & real if carried else it == 1
-    turn_pos = pos.cast(pl.Float64)
-    prev_tool_pos = pl.when(is_tool).then(turn_pos).otherwise(None).shift(1).forward_fill().over(**over)
-    prev_tool_ts = pl.when(is_tool).then(c("ts")).otherwise(None).shift(1).forward_fill().over(**over)
-    if carried:
-        prev_tool_pos = prev_tool_pos.fill_null(r("tool_pos").cast(pl.Float64))
-        prev_tool_ts = prev_tool_ts.fill_null(r("tool_ts"))
-    role_exprs += [
-        (turn_pos - prev_tool_pos).alias("turns_since_tool"),
-        ((c("ts") - prev_tool_ts).dt.total_microseconds() / 1e6).alias("secs_since_tool"),
-        it.cast(pl.Float64)
-        .shift(1)
-        .rolling_mean(COVER_WINDOW, min_samples=1)
-        .over(**over)
-        .alias("roll10_tool_rate"),
-    ]
-    lf = lf.with_columns(role_exprs)
+    def latest(flag):
+        """index of the last row up to this one where ``flag`` holds"""
+        return pl.when(flag).then(i).forward_fill()
 
-    # exact scaled-integer metric columns (schemas.QUANT_SCALE): expanding
-    # sums over rint(x*scale) are order-independent (integers are exact in
-    # float64 < 2^53) -> bit-identical to the cents-exact SQL oracles and
-    # across any split point. NULL-value semantics: sums run on ZERO-FILLED
-    # cents plus a separate non-null counter; rolling_mean natively skips
-    # nulls (== SQL AVG); EWMA runs over the non-null subsequence
-    # (ignore_nulls=True) with the carried value forward-filled at null
-    # rows. Ghost rows hold no cents and count as no value.
+    def prior(flag):
+        """index of the last row before this one where ``flag`` holds"""
+        return pl.when(flag).then(i).shift(1).forward_fill()
+
+    def excl(e):
+        """exclusive whole-frame cumulative sum"""
+        return e.cum_sum() - e
+
+    def since(name, start):
+        """sum over [start, row) from the exclusive cum-sum column ``name``"""
+        return c(name) - c(name).gather(c(start))
+
+    def window(name, w):
+        """sum over the ``w`` rows before the row in its segment"""
+        back = pl.when(c("_q") >= w).then(c(name).shift(w)).otherwise(c(name).gather(c("_cs")))
+        return c(name) - back
+
+    def x(m):
+        return c(f"_x_{m}")
+
     def cents(m):
-        return (c(m).cast(pl.Float64) * QUANT_SCALE).round(0)
+        return (x(m) * QUANT_SCALE).round(0)
 
-    def masked(e, other):
-        return pl.when(real).then(e).otherwise(other) if carried else e
+    def c0(m):
+        """Int64 cents, 0 at NULL"""
+        return cents(m).cast(i64).fill_null(0)
 
+    def nn(m):
+        return x(m).is_not_null().cast(i64)
+
+    gap = (c("ts") - c("ts").shift(1)).dt.total_microseconds() / 1e6
     lf = lf.with_columns(
-        [masked(cents(m), None).alias(f"_c_{m}") for m in metrics]
-        + [masked(cents(m).fill_null(0.0), 0.0).alias(f"_c0_{m}") for m in metrics]
-        + [masked(c(m).is_not_null().cast(pl.Float64), 0.0).alias(f"_nn_{m}") for m in metrics]
+        pl.int_range(pl.len(), dtype=i64).alias("_i"), new.fill_null(True).alias("_new"),
+        # a NaN metric value counts as NULL
+        *[c(m).cast(f64).fill_nan(None).alias(f"_x_{m}") for m in metrics],
+    ).with_columns(
+        latest(c("_new")).alias("_cs"),
+        c("_new").cum_sum().alias("_seg"),
+        pl.when(c("_new")).then(None).otherwise(gap).alias("gap_s"),
     )
-    if carried:
-        # the EWMA register rides on the last conversation-tail ghost row
-        lf = lf.with_columns(
-            pl.when(real).then(c(m).cast(pl.Float64)).otherwise(c(f"_ge_{m}"))
-            .ewm_mean(span=EWMA_SPAN, adjust=False, ignore_nulls=True)
-            .forward_fill().over(**over).alias(f"_ew_{m}")
-            for m in metrics
+    brk = (c("gap_s") > session_gap_s).fill_null(False)
+    lf = lf.with_columns(
+        (c("_cs") + r("ng")).alias("_rs"),
+        (i - c("_cs")).alias("_q"),
+        latest(c("_new") | brk).alias("_ss"),
+        brk.cast(i64).cum_sum().alias("_brk"),
+        prior(c("is_tool") == 1).alias("_tool"),
+        *[excl(c(f"is_{ro}").cast(i64)).alias(f"_e_{ro}") for ro in _ROLES],
+        *[excl(c0(m)).alias(f"_ec_{m}") for m in metrics],
+        *[excl(nn(m)).alias(f"_en_{m}") for m in metrics],
+        *[latest(x(m).is_not_null()).alias(f"_nn_{m}") for m in metrics],
+        *[(pl.when(c("_g") == 0).then(x(m)).otherwise(c(f"_ge_{m}")) if ghosts else x(m))
+          .ewm_mean(span=EWMA_SPAN, adjust=False, ignore_nulls=True)
+          .forward_fill().over("_seg").alias(f"_ew_{m}") for m in metrics],
+    )
+    pos = i - c("_rs") + r("turns")
+    lf = lf.with_columns(
+        pos.alias("_pos"),
+        *([pos.cast(pl.Int32).alias("turn_idx")] if assign_turn_idx else []),
+        (c("_brk") - c("_brk").gather(c("_cs")) + r("session_id")).cast(pl.Int32)
+        .alias("session_id"),
+        pl.max_horizontal("_ss", "_rs").alias("_es"),
+        (c("_ss") == c("_cs")).alias("_open"),
+    )
+
+    # the session-seeded family (W3) per metric: in-session sums before
+    # the row (_ps, _pn) and through it (_tot, _n), the last non-null
+    # cents through it (_last); a session's seed and previous final are
+    # the previous session's registers at its last row, _ss - 1
+    has_tool = c("_tool") >= c("_rs")
+    lf = lf.with_columns(
+        (i - c("_es") + opened("session_turns", 0)).cast(pl.Int32).alias("session_turn_idx"),
+        *[(since(f"_e_{ro}", "_rs") + r(f"n_{ro}")).alias(f"n_prior_{ro}") for ro in _ROLES],
+        pl.when(has_tool).then(i - c("_tool")).otherwise(c("_pos") - r("tool_pos", None))
+        .cast(f64).alias("turns_since_tool"),
+        ((c("ts") - pl.when(has_tool).then(c("ts").gather(c("_tool")))
+          .otherwise(r("tool_ts", None))).dt.total_microseconds() / 1e6)
+        .alias("secs_since_tool"),
+        pl.when(c("_q") > 0).then(window("_e_tool", COVER_WINDOW)
+                                  / pl.min_horizontal(c("_q"), COVER_WINDOW))
+        .alias("roll10_tool_rate"),
+        *[(since(f"_ec_{m}", "_es") + opened(f"ssum_{m}", 0)).alias(f"_ps_{m}")
+          for m in metrics],
+        *[(since(f"_en_{m}", "_es") + opened(f"scnt_{m}", 0)).alias(f"_pn_{m}")
+          for m in metrics],
+        *[pl.when(c(f"_nn_{m}") >= c("_es")).then(cents(m).gather(c(f"_nn_{m}")))
+          .otherwise(opened(f"slast_{m}")).alias(f"_last_{m}") for m in metrics],
+    )
+    prev_sess = c("_ss") - 1
+    lf = lf.with_columns(
+        *[(c(f"_ps_{m}") + c0(m)).alias(f"_tot_{m}") for m in metrics],
+        *[(c(f"_pn_{m}") + nn(m)).alias(f"_n_{m}") for m in metrics],
+        *[pl.when(c("_open")).then(r(f"seed_{m}", None))
+          .otherwise(c(f"_last_{m}").gather(prev_sess)).alias(f"_seed_{m}")
+          for m in metrics],
+    )
+    first_sess = c("session_id") == 0
+
+    def sess_mean(m, total, n):
+        """the first session's plain mean, a later one's seeded mean"""
+        total, n = c(f"_{total}_{m}"), c(f"_{n}_{m}")
+        return (
+            pl.when(first_sess).then(pl.when(n > 0).then(total / (QUANT_SCALE * n)))
+            .otherwise((c(f"_seed_{m}") + total) / (QUANT_SCALE * (1 + n)))
         )
+
+    lf = lf.with_columns(sess_mean(m, "tot", "n").alias(f"_final_{m}") for m in metrics)
+    lf = lf.with_columns(
+        pl.when(c("_open")).then(r(f"pfinal_{m}", None))
+        .otherwise(c(f"_final_{m}").gather(prev_sess)).alias(f"_pfinal_{m}")
+        for m in metrics
+    )
 
     metric_exprs = []
-    open_sess = c("session_id") == r("session_id")
     for m in metrics:
-        x = c(m).cast(pl.Float64)
-        xc0 = c(f"_c0_{m}")
-        nnf = c(f"_nn_{m}")
-        cntp = nnf.cum_sum() - nnf  # strictly-prior non-null count
-        if carried:
-            cnt = cntp.over(**over) + r(f"cnt_{m}")
-            avg = pl.when(cnt > 0).then(
-                (r(f"sum_{m}") + (xc0.cum_sum() - xc0).over(**over)) / (QUANT_SCALE * cnt)
-            )
-            ewma = c(f"_ew_{m}").shift(1).over(**over)
-            scs = (xc0.cum_sum() - xc0).over("conv_id", "session_id") + pl.when(
-                open_sess).then(r(f"ssum_{m}")).otherwise(0.0)
-            scnt = (nnf.cum_sum() - nnf).over("conv_id", "session_id") + pl.when(
-                open_sess).then(r(f"scnt_{m}")).otherwise(0.0)
-        else:
-            avg = pl.when(cntp.over(**over) > 0).then(
-                ((xc0.cum_sum() - xc0) / (QUANT_SCALE * cntp)).over(**over)
-            )
-            ewma = (
-                x.ewm_mean(span=EWMA_SPAN, adjust=False, ignore_nulls=True)
-                .forward_fill().shift(1).over(**over)
-            )
-            # in-session prior sum / count for the seeded expanding family
-            scs = (xc0.cum_sum() - xc0).over("conv_id", "session_id")
-            scnt = (nnf.cum_sum() - nnf).over("conv_id", "session_id")
+        nw = window(f"_en_{m}", FORM_WINDOW)
+        n = since(f"_en_{m}", "_rs") + r(f"cnt_{m}")
         metric_exprs += [
-            x.shift(1).over(**over).alias(f"last_{m}"),
-            x.shift(1).rolling_mean(FORM_WINDOW, min_samples=1).over(**over).alias(f"form_{m}"),
-            avg.otherwise(None).alias(f"avg_{m}"),
-            ewma.alias(f"ewma_{m}"),
-            scs.alias(f"_cs_{m}"),
-            scnt.alias(f"_cnt_{m}"),
+            lag(x(m)).alias(f"last_{m}"),
+            pl.when(nw > 0).then(window(f"_ec_{m}", FORM_WINDOW) / (QUANT_SCALE * nw))
+            .alias(f"form_{m}"),
+            pl.when(n > 0).then((since(f"_ec_{m}", "_rs") + r(f"sum_{m}")) / (QUANT_SCALE * n))
+            .alias(f"avg_{m}"),
+            lag(c(f"_ew_{m}")).alias(f"ewma_{m}"),
         ]
+    metric_exprs += [
+        pl.when(c(f"_pn_{m}") > 0).then(sess_mean(m, "ps", "pn"))
+        .otherwise(pl.when(~first_sess).then(c(f"_pfinal_{m}")))
+        .alias(f"session_avg_{m}")
+        for m in metrics
+    ]
     lf = lf.with_columns(metric_exprs)
+    if not phases:
+        return lf
 
-    # --- session-seeded expanding (W3): per-session aggregate + carryover --
-    # A carried conversation's first session in the frame is its OPEN
-    # session: its totals include the carried sums and its seed and
-    # previous final come from the carry instead of the prior session.
-    agg = lf.group_by(["conv_id", "session_id"], maintain_order=True).agg(
-        [c(f"_c_{m}").sum().fill_null(0.0).alias(f"_total_{m}") for m in metrics]
-        + [c(f"_c_{m}").count().alias(f"_n_{m}") for m in metrics]
-        # seed = last NON-NULL raw value of the session (null if none)
-        + [c(f"_c_{m}").drop_nulls().last().alias(f"_last_{m}") for m in metrics]
-        + ([r(k).first().alias(f"_r_{k}") for k in ["session_id"] + [
-            f"{k}_{m}" for m in metrics for k in ("ssum", "scnt", "slast", "seed", "pfinal")]]
-           if carried else [])
-    )
-    if carried:
-        agg = agg.with_columns(
-            [(c(f"_total_{m}") + pl.when(open_sess).then(r(f"ssum_{m}")).otherwise(0.0))
-             for m in metrics]
-            + [(c(f"_n_{m}") + pl.when(open_sess).then(r(f"scnt_{m}")).otherwise(0.0))
-               for m in metrics]
-            + [pl.when(open_sess).then(c(f"_last_{m}").fill_null(r(f"slast_{m}")))
-               .otherwise(c(f"_last_{m}")).alias(f"_last_{m}") for m in metrics]
-        )
-    seed_exprs = []
-    for m in metrics:
-        seed = c(f"_last_{m}").shift(1).over("conv_id")
-        if carried:
-            seed = pl.when(open_sess).then(r(f"seed_{m}")).otherwise(seed)
-        # an unseeded session with no non-null value has no final (NULL,
-        # as SQL's NULLIF(n, 0)), never 0 / 0
-        final = (
-            pl.when(c("session_id") == 0)
-            .then(pl.when(c(f"_n_{m}") > 0).then(c(f"_total_{m}") / (QUANT_SCALE * c(f"_n_{m}"))))
-            .otherwise((seed + c(f"_total_{m}")) / (QUANT_SCALE * (1.0 + c(f"_n_{m}"))))
-        )
-        prevfinal = final.shift(1).over("conv_id")
-        if carried:
-            prevfinal = pl.when(open_sess).then(r(f"pfinal_{m}")).otherwise(prevfinal)
-        seed_exprs += [seed.alias(f"_seed_{m}"), prevfinal.alias(f"_prevfinal_{m}")]
-    agg = agg.with_columns(seed_exprs)
-    lf = lf.join(
-        agg.select(["conv_id", "session_id"]
-                   + [f"_seed_{m}" for m in metrics]
-                   + [f"_prevfinal_{m}" for m in metrics]),
-        on=["conv_id", "session_id"], how="left",
-        # the carried plan is lazy, where only an explicit order is kept
-        **({"maintain_order": "left"} if carried else {}),
-    )
+    # per-phase (role-split) families: inclusive aggregates over each
+    # (conv, role) run, which is not contiguous, then the value at the
+    # row's last strictly-prior phase row whose aggregate is not null
+    pr = ["conv_id", "role"]
+    real = c("_g") == 0
 
-    sess_exprs = []
-    for m in metrics:
-        sess_exprs.append(
-            pl.when(c("session_id") == 0)
-            .then(
-                pl.when(c(f"_cnt_{m}") > 0)
-                .then(c(f"_cs_{m}") / (QUANT_SCALE * c(f"_cnt_{m}")))
-                .otherwise(None)
-            )
-            .otherwise(
-                pl.when(c(f"_cnt_{m}") > 0)
-                .then(
-                    (c(f"_seed_{m}") + c(f"_cs_{m}"))
-                    / (QUANT_SCALE * (1.0 + c(f"_cnt_{m}")))
-                )
-                .otherwise(c(f"_prevfinal_{m}"))
-            )
-            .alias(f"session_avg_{m}")
-        )
-    lf = lf.with_columns(sess_exprs)
-
-    # --- per-phase (role-split) families: inclusive per-(conv, role)
-    # aggregates, then "value at the last strictly-prior phase row". The
-    # propagation is a per-phase segmented cummax + O(n) gathers instead of
-    # one when/shift/ffill window op per output column — at 20 metrics x 2
-    # phases that's 160 window ops avoided (measured ~2x kernel speedup).
-    if phases:
-        pr = {"partition_by": ["conv_id", "role"]}
-
-        def by_role(name):
-            """The carried register of the row's own phase."""
-            e = pl.lit(0.0)
-            for p in phases:
-                e = pl.when(c("role") == p).then(r(f"{name}_{p}")).otherwise(e)
-            return e
-
-        incl_exprs = []
-        for m in metrics:
-            x = c(m).cast(pl.Float64)
-            xc0 = masked((x * QUANT_SCALE).round(0).fill_null(0.0), 0.0)
-            nnf = masked(x.is_not_null().cast(pl.Float64), 0.0)
-            icnt = nnf.cum_sum()  # inclusive NON-NULL count
-            if carried:
-                cnt = icnt.over(**pr) + by_role(f"cnt_{m}")
-                iavg = pl.when(cnt > 0).then(
-                    (by_role(f"sum_{m}") + xc0.cum_sum().over(**pr)) / (QUANT_SCALE * cnt))
-                ew_in = pl.when(real).then(x).otherwise(c(f"_ge_{m}"))
-            else:
-                iavg = pl.when(icnt.over(**pr) > 0).then(
-                    (xc0.cum_sum() / (QUANT_SCALE * icnt)).over(**pr))
-                ew_in = x
-            incl_exprs += [
-                iavg.otherwise(None).alias(f"_iavg_{m}"),
-                x.rolling_mean(FORM_WINDOW, min_samples=1).over(**pr).alias(f"_iform_{m}"),
-                ew_in.ewm_mean(span=EWMA_SPAN, adjust=False, ignore_nulls=True)
-                .forward_fill().over(**pr).alias(f"_iewma_{m}"),
-            ]
-        lf = lf.with_columns(incl_exprs)
-        if carried:  # a lazy plan so far: the propagation below needs rows
-            lf, agg = pl.collect_all([lf, agg])
-
-        n = lf.height
-        rows = np.arange(n, dtype=np.int64)
-        new_conv = (
-            (c("conv_id") != c("conv_id").shift(1)).fill_null(True)
-        )
-        seg = lf.select(new_conv.cum_sum().alias("s"))["s"].to_numpy().astype(np.int64) - 1
-        role_arr = lf["role"].to_numpy()
-        is_real = lf["_g"].to_numpy() == 0 if carried else True
-
-        def _last_prior(vmask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """(valid, safe-index) of the last vmask row STRICTLY before
-            each row within its conv segment — encode (segment, row+1) so
-            one cummax restarts per conv (later segments dominate)."""
-            enc = seg * (n + 2) + np.where(vmask, rows + 1, 0)
-            cm = np.maximum.accumulate(enc)
-            lpi_incl = cm % (n + 2) - 1
-            lpi = np.empty(n, dtype=np.int64)
-            if n:  # empty blocks still need the full phase-column schema
-                lpi[1:] = lpi_incl[:-1]
-                lpi[0] = -1
-                lpi[np.flatnonzero(seg[1:] != seg[:-1]) + 1] = -1
-            return lpi >= 0, np.maximum(lpi, 0)
-
-        phase_cols = {}
+    def by_role(name):
+        """the carried register of the row's own phase"""
+        e = pl.lit(0)
         for p in phases:
-            mask = (role_arr == p) & is_real
-            valid, safe = _last_prior(mask)
-            for m in metrics:
-                for fam, col in (
-                    ("last", m), ("form", f"_iform_{m}"),
-                    ("avg", f"_iavg_{m}"), ("ewma", f"_iewma_{m}"),
-                ):
-                    arr = lf[col].to_numpy().astype(np.float64)
-                    # before the frame's first phase row: the carried value
-                    prior = (lf[f"_r_prev_{fam}_{m}_{p}"].to_numpy().astype(np.float64)
-                             if carried else np.nan)
-                    if np.isnan(arr[mask]).any():
-                        # NULL-value semantics: propagation skips a NULL
-                        # aggregate at a phase row (SQL LAST_VALUE(CASE..)
-                        # IGNORE NULLS) — slow path only when this column
-                        # actually has NULLs at phase rows
-                        v2, s2 = _last_prior(mask & ~np.isnan(arr))
-                        phase_cols[f"{fam}_{m}_{p}"] = np.where(v2, arr[s2], prior)
-                    else:
-                        phase_cols[f"{fam}_{m}_{p}"] = np.where(valid, arr[safe], prior)
-        # numpy marks "no value" as NaN: hand it back to polars as NULL
-        lf = lf.hstack(pl.DataFrame(phase_cols, nan_to_null=True))
-        if not carried:
-            lf = lf.drop([f"_{fam}_{m}" for m in metrics for fam in ("iavg", "iform", "iewma")])
+            e = pl.when(c("role") == p).then(r(f"{name}_{p}")).otherwise(e)
+        return e
 
-    if carried:
-        return pl.collect_all([lf.lazy(), _carry_out(pl, lf.lazy(), agg.lazy(), metrics, phases)])
-    drop = [f"_{p}_{m}" for m in metrics
-            for p in ("c", "c0", "nn", "cs", "cnt", "seed", "prevfinal")]
-    return lf.drop(drop)
+    def masked(e):
+        return pl.when(real).then(e).otherwise(0) if ghosts else e
+
+    incl = []
+    for m in metrics:
+        cnt = masked(nn(m)).cum_sum() + by_role(f"cnt_{m}")
+        sw = c0(m).rolling_sum(FORM_WINDOW, min_samples=1)
+        nw = nn(m).rolling_sum(FORM_WINDOW, min_samples=1)
+        ew_in = pl.when(real).then(x(m)).otherwise(c(f"_ge_{m}")) if ghosts else x(m)
+        incl += [
+            pl.when(cnt > 0).then((masked(c0(m)).cum_sum() + by_role(f"sum_{m}"))
+                                  / (QUANT_SCALE * cnt)).over(pr).alias(f"_iavg_{m}"),
+            pl.when(nw > 0).then(sw / (QUANT_SCALE * nw)).over(pr).alias(f"_iform_{m}"),
+            ew_in.ewm_mean(span=EWMA_SPAN, adjust=False, ignore_nulls=True)
+            .forward_fill().over(pr).alias(f"_iewma_{m}"),
+        ]
+    lf = lf.with_columns(incl)
+    prop = []
+    for p in phases:
+        for m in metrics:
+            for fam, col in (("last", x(m)), ("form", c(f"_iform_{m}")),
+                             ("avg", c(f"_iavg_{m}")), ("ewma", c(f"_iewma_{m}"))):
+                at = prior((c("role") == p) & col.is_not_null())
+                prop.append(
+                    pl.when(at >= c("_rs")).then(col.gather(at))
+                    .otherwise(r(f"prev_{fam}_{m}_{p}", None)).alias(f"{fam}_{m}_{p}")
+                )
+    return lf.with_columns(prop)
 
 
-def _carry_out(pl, lf, agg, metrics, phases):
-    """Per-conversation carry after the frame: counters at the last real
-    row, tails over the ghost-plus-real rows, registers folded forward."""
+def _carry_out(pl, out, metrics, phases):
+    """Per-conversation carry after the collected frame: counters and the
+    session registers at the last batch row, tails over the ghost-plus-
+    batch rows, the other registers folded forward."""
     c = pl.col
     real = c("_g") == 0
     conv_rows = c("_g") != 2
-    tool = real & (c("is_tool").cast(pl.Int64) == 1)
+    tool = real & (c("is_tool") == 1)
 
     def last_real(col):
         return c(col).filter(real).last()
@@ -578,9 +505,11 @@ def _carry_out(pl, lf, agg, metrics, phases):
     def reg(name):
         return c(f"_r_{name}").first()
 
-    def last_value(col, rows, name):
-        """last non-null value of ``col`` over ``rows``, else the carry's"""
-        return c(col).cast(pl.Float64).filter(rows).fill_nan(None).drop_nulls().last().fill_null(reg(name))
+    def x(m):
+        return c(f"_x_{m}")
+
+    def cents(m, rows):
+        return (x(m) * QUANT_SCALE).round(0).cast(pl.Int64).filter(rows).sum()
 
     exprs = [
         (last_real("_pos") + 1).alias("turns"),
@@ -594,30 +523,27 @@ def _carry_out(pl, lf, agg, metrics, phases):
     ]
     for m in metrics:
         exprs += [
-            c(m).cast(pl.Float64).filter(conv_rows).tail(_TAIL).alias(f"tail_{m}"),
-            (reg(f"sum_{m}") + c(f"_c0_{m}").sum()).alias(f"sum_{m}"),
-            (reg(f"cnt_{m}") + c(f"_nn_{m}").sum()).alias(f"cnt_{m}"),
+            x(m).filter(conv_rows).tail(_TAIL).alias(f"tail_{m}"),
+            (reg(f"sum_{m}") + cents(m, real)).alias(f"sum_{m}"),
+            (reg(f"cnt_{m}") + x(m).filter(real).count()).alias(f"cnt_{m}"),
             c(f"_ew_{m}").filter(conv_rows).last().alias(f"ewma_{m}"),
+            *[last_real(f"_{k}_{m}").alias(f"{s}_{m}") for k, s in (
+                ("tot", "ssum"), ("n", "scnt"), ("last", "slast"), ("seed", "seed"),
+                ("pfinal", "pfinal"))],
         ]
         for p in phases:
             in_p = c("role") == p
             exprs += [
-                c(m).cast(pl.Float64).filter(in_p).tail(FORM_WINDOW).alias(f"tail_{m}_{p}"),
-                (reg(f"sum_{m}_{p}") + c(f"_c0_{m}").filter(in_p).sum()).alias(f"sum_{m}_{p}"),
-                (reg(f"cnt_{m}_{p}") + c(f"_nn_{m}").filter(in_p).sum()).alias(f"cnt_{m}_{p}"),
+                x(m).filter(in_p).tail(FORM_WINDOW).alias(f"tail_{m}_{p}"),
+                (reg(f"sum_{m}_{p}") + cents(m, real & in_p)).alias(f"sum_{m}_{p}"),
+                (reg(f"cnt_{m}_{p}") + x(m).filter(real & in_p).count()).alias(f"cnt_{m}_{p}"),
                 c(f"_iewma_{m}").filter(in_p).last().alias(f"ewma_{m}_{p}"),
             ] + [
-                last_value(col, real & in_p, f"prev_{fam}_{m}_{p}").alias(f"prev_{fam}_{m}_{p}")
-                for fam, col in (("last", m), ("form", f"_iform_{m}"),
-                                 ("avg", f"_iavg_{m}"), ("ewma", f"_iewma_{m}"))
+                # the last non-null value over the batch's phase rows, else
+                # the carried one
+                col.filter(real & in_p).drop_nulls().last()
+                .fill_null(reg(f"prev_{fam}_{m}_{p}")).alias(f"prev_{fam}_{m}_{p}")
+                for fam, col in (("last", x(m)), ("form", c(f"_iform_{m}")),
+                                 ("avg", c(f"_iavg_{m}")), ("ewma", c(f"_iewma_{m}")))
             ]
-    new = lf.group_by("conv_id", maintain_order=True).agg(exprs)
-    # the open session's registers: the conversation's last session row
-    sess = agg.group_by("conv_id", maintain_order=True).agg(
-        [c(f"_total_{m}").last().alias(f"ssum_{m}") for m in metrics]
-        + [c(f"_n_{m}").last().cast(pl.Float64).alias(f"scnt_{m}") for m in metrics]
-        + [c(f"_last_{m}").last().alias(f"slast_{m}") for m in metrics]
-        + [c(f"_seed_{m}").last().alias(f"seed_{m}") for m in metrics]
-        + [c(f"_prevfinal_{m}").last().alias(f"pfinal_{m}") for m in metrics]
-    )
-    return new.join(sess, on="conv_id", how="left", maintain_order="left")
+    return out.group_by("conv_id", maintain_order=True).agg(exprs)

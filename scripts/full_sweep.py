@@ -5,16 +5,17 @@ order-insensitive value compare at 6dp. A query without an oracle
 fails. Runs on a one-CPU Ray session, the benchmark's setting, so a job
 that needs a second CPU to make progress hangs here instead of hiding.
 Prints one line per query and a final tally.
-Usage: python scripts/full_sweep.py [sf_dir], from the checkout's root:
-the driver imports this checkout's package, and Ray's workers import it
-from the driver's working directory.
+Usage: python scripts/full_sweep.py [sf_dir], from any working
+directory: the driver and Ray's workers both import this checkout's
+package.
 """
 import sys
 import warnings
 from pathlib import Path
 
 warnings.filterwarnings("ignore")
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # this checkout
+ROOT = str(Path(__file__).resolve().parents[1])  # this checkout
+sys.path.insert(0, ROOT)
 
 import duckdb
 import numpy as np
@@ -28,7 +29,8 @@ TABLES = ("region nation customer supplier part orders lineitem events "
 def main(sf_dir: str) -> int:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=1, include_dashboard=False,
-                 logging_level="ERROR")
+                 logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": ROOT}})
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False

@@ -5,7 +5,7 @@ Plants TWO multi-million-turn conversations (plus small ones), runs
 through a CHAIN of bounded sub-range tasks that hand the window kernel's
 carry table to the next, and verifies the full 8M+-row output against
   (a) the one-task batch kernel path — bit-identical on every family but
-      the rolling means and float gaps (rtol 1e-9), and
+      the float gaps (rtol 1e-9), and
   (b) a single in-process kernel run fed the same splits with one carry —
       BITWISE on every column (proves the cross-task handoff is lossless).
 
@@ -42,9 +42,9 @@ EXACT = [
     "conv_id", "ts", "turn_idx", "session_id", "session_turn_idx",
     "n_prior_user", "n_prior_assistant", "n_prior_tool",
     "turns_since_tool", "roll10_tool_rate",
-    "last_value", "avg_value", "session_avg_value", "ewma_value",
+    "last_value", "form_value", "avg_value", "session_avg_value", "ewma_value",
 ]
-ALLCLOSE = ["gap_s", "secs_since_tool", "form_value"]
+ALLCLOSE = ["gap_s", "secs_since_tool"]
 
 
 def build(n_giant: int) -> pd.DataFrame:

@@ -67,9 +67,9 @@ CHAIN_EXACT = [
     "conv_id", "ts", "turn_idx", "session_id", "session_turn_idx",
     "n_prior_user", "n_prior_assistant", "n_prior_tool",
     "turns_since_tool", "roll10_tool_rate",
-    "last_value", "avg_value", "session_avg_value", "ewma_value",
+    "last_value", "form_value", "avg_value", "session_avg_value", "ewma_value",
 ]
-CHAIN_ALLCLOSE = ["gap_s", "secs_since_tool", "form_value"]
+CHAIN_ALLCLOSE = ["gap_s", "secs_since_tool"]
 
 
 def _carried_run(df: pd.DataFrame, rows: int):
@@ -110,7 +110,7 @@ def _assert_cols(a: pd.DataFrame, b: pd.DataFrame, exact, allclose):
 def test_chained_subrange_matches_batch_and_streaming():
     """A hot conversation split into 64-row sub-range tasks with carry
     handoff must (a) match the one-task batch kernel — BIT-identical on
-    every family but the rolling means and float gaps (rtol 1e-9) — and
+    every family but the float gaps (rtol 1e-9) — and
     (b) be fully BITWISE equal to a single in-process kernel run fed the
     same splits with one carry, proving the cross-task handoff itself is
     lossless."""
@@ -228,8 +228,8 @@ def test_chained_all_conversations_heavy():
 
 def test_chained_subrange_phase_families_match_batch():
     """Per-role (phase) window families must survive the chain's
-    cross-task carry handoff: last/avg/ewma phase families bitwise vs
-    the batch kernel, the rolling phase means within rtol 1e-9."""
+    cross-task carry handoff: last/form/avg/ewma phase families bitwise
+    vs the batch kernel."""
     from nfl_feature_store_ray.state.skew import window_features_chained
     from nfl_feature_store_ray.state.window_kernel_pl import feature_columns
 
@@ -252,9 +252,8 @@ def test_chained_subrange_phase_families_match_batch():
         .reset_index(drop=True)
     )
     assert len(chained) == len(base) == tbl.num_rows
-    exact = [f"{f}_value_{p}" for p in PH for f in ("last", "avg", "ewma")]
-    allc = [f"form_value_{p}" for p in PH]
-    _assert_cols(chained, base, CHAIN_EXACT + exact, CHAIN_ALLCLOSE + allc)
+    exact = [f"{f}_value_{p}" for p in PH for f in ("last", "form", "avg", "ewma")]
+    _assert_cols(chained, base, CHAIN_EXACT + exact, CHAIN_ALLCLOSE)
 
 
 @pytest.mark.parametrize("dup_at", [5, 16])

@@ -1,54 +1,4 @@
-"""Source formats: csv / json(l) rows must flow through the same pipeline
-as parquet (schema-compatible, value-identical)."""
-
-import os
-
-import duckdb
-import pandas as pd
-
-from nfl_feature_store_ray.sources.readers import read_table
-
-SF = "/root/testdata/sf0.001"
-
-
-def _export(fmt: str, tmpdir: str) -> str:
-    con = duckdb.connect()
-    out = os.path.join(tmpdir, f"documents.{fmt}")
-    if fmt == "csv":
-        con.execute(
-            f"COPY (SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet')) "
-            f"TO '{out}' (HEADER, DELIMITER '|')"
-        )
-    else:
-        con.execute(
-            f"COPY (SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet')) "
-            f"TO '{out}' (FORMAT JSON)"
-        )
-    return tmpdir
-
-
-def test_csv_and_json_sources_match_parquet(tmp_path):
-    base = read_table(SF, "documents", columns=["doc_id", "text"]).to_pandas()
-    base = base.sort_values("doc_id").reset_index(drop=True)
-    for fmt in ("csv", "json"):
-        d = str(tmp_path / fmt)
-        os.makedirs(d, exist_ok=True)
-        _export(fmt, d)
-        if fmt == "csv":
-            from pyarrow import csv as pacsv
-
-            got = read_table(
-                d, "documents", columns=["doc_id", "text"], fmt=fmt,
-                parse_options=pacsv.ParseOptions(delimiter="|"),
-            ).to_pandas()
-        else:
-            got = read_table(d, "documents", columns=["doc_id", "text"], fmt=fmt).to_pandas()
-        got = got.sort_values("doc_id").reset_index(drop=True)
-        assert len(got) == len(base)
-        assert (got["doc_id"].to_numpy() == base["doc_id"].to_numpy()).all()
-        assert (
-            got["text"].fillna("") == base["text"].fillna("")
-        ).all(), f"{fmt} text mismatch"
+"""Sources: the events -> transcript mapping and multi-file event reads."""
 
 
 def _events(n: int = 2000, seed: int = 3):

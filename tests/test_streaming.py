@@ -2,8 +2,9 @@
 
 The carry (raw tails + registers + watermark) must produce the same
 features whether a conversation arrives in one batch, in tiny 3-row
-slices, or row by row: bit-identical on every family except the rolling
-means (form_*), which start their sliding sums from the carried tail."""
+slices, or row by row: bit-identical on every family, the rolling means
+(form_*) included, whose integer-cent window sums run through the carried
+tail."""
 
 import numpy as np
 import pandas as pd
@@ -49,7 +50,7 @@ def _carried(df: pd.DataFrame, batch_size: int, **kw):
 
 
 def _assert_split_equal(got: pd.DataFrame, ref: pd.DataFrame, where: str):
-    """Exact on every column but the rolling means (rtol 1e-9)."""
+    """Exact on every column."""
     assert list(got.columns) == list(ref.columns)
     assert len(got) == len(ref)
     for c in ref.columns:
@@ -58,11 +59,7 @@ def _assert_split_equal(got: pd.DataFrame, ref: pd.DataFrame, where: str):
             continue
         a = got[c].to_numpy(dtype="float64")
         b = ref[c].to_numpy(dtype="float64")
-        if c.startswith("form_"):
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, equal_nan=True,
-                                       err_msg=f"{c} {where}")
-        else:
-            assert ((a == b) | (np.isnan(a) & np.isnan(b))).all(), f"{c} not exact {where}"
+        assert ((a == b) | (np.isnan(a) & np.isnan(b))).all(), f"{c} not exact {where}"
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 17, 10_000])
@@ -94,8 +91,8 @@ def test_state_is_bounded():
 
 @pytest.mark.parametrize("batch_size", [1, 7, 10_000])
 def test_streaming_phase_windows_match_batch(batch_size):
-    """Per-phase families carry across batch splits: exact on last/avg/
-    ewma, rtol 1e-9 on the rolling form."""
+    """Per-phase families carry across batch splits: exact on last/form/
+    avg/ewma."""
     phases = ("user", "assistant")
     df = _sorted_frame()
     got, _ = _carried(df, batch_size, phases=phases)

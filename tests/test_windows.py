@@ -147,3 +147,53 @@ def test_phase_windows_vs_naive_oracle(synth):
         for fam in ("last", "form", "avg", "ewma")
     ]
     assert_feature_parity(eng[cols], ora[cols])
+
+
+@pytest.mark.parametrize("phases", [(), ("user", "assistant")])
+def test_kernel_output_independent_of_frame_neighbours(phases):
+    """One kernel call over many conversations == the per-conversation
+    calls concatenated, byte for byte on every column. The kernel's scans
+    run over the whole frame and restart at conversation and session
+    starts, so this pins that no window leaks across a boundary: adjacent
+    conversations shorter than FORM_WINDOW and COVER_WINDOW, a one-row
+    conversation, a NULL at a conversation's first row, a session with no
+    non-null value and a tool at row 0."""
+    import pyarrow as pa
+
+    from nfl_feature_store_ray.schemas import COVER_WINDOW, FORM_WINDOW, SESSION_GAP_S
+    from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
+
+    day = SESSION_GAP_S + 60
+    convs = {  # conv -> [(role, value, seconds since the previous turn)]
+        "a": [("tool", None, 0), ("user", 1.5, 5)],
+        "b": [("user", 2.25, 0)],
+        "c": [("user", 3.0, 0), ("assistant", 4.5, 9), ("tool", 7.0, 3)],
+        "d": [("user", 1.0, 0), ("assistant", 2.0, 4),
+              ("user", None, day), ("tool", None, 2), ("assistant", None, 1),
+              ("user", 5.0, day), ("assistant", 6.25, 3), ("user", None, 1)],
+        "e": [(("user", "assistant", "tool")[k % 3], None if k % 4 == 1 else k * 1.25, 7)
+              for k in range(COVER_WINDOW + FORM_WINDOW + 2)],
+    }
+    assert len(convs["a"]) < FORM_WINDOW and len(convs["c"]) < COVER_WINDOW
+    rows = []
+    for conv, turns in convs.items():
+        t = pd.Timestamp("2024-05-01")
+        for k, (role, value, gap) in enumerate(turns):
+            t += pd.Timedelta(seconds=gap)
+            rows.append({"conv_id": conv, "turn_idx": k, "ts": t, "role": role,
+                         "value": value, "text_len": float(3 * k + len(conv))})
+    df = pd.DataFrame(rows)
+    df["ts"] = df["ts"].astype("datetime64[us]")
+    for r in ("user", "assistant", "tool"):
+        df[f"is_{r}"] = (df["role"] == r).astype("int8")
+    kw = {"metrics": METRICS, "phases": phases}
+
+    shuffled = df.sample(frac=1.0, random_state=3)  # the kernel sorts
+    whole = kernel_arrow(pa.Table.from_pandas(shuffled, preserve_index=False), **kw)
+    alone = pa.concat_tables([
+        kernel_arrow(pa.Table.from_pandas(g, preserve_index=False), **kw)
+        for _, g in df.groupby("conv_id", sort=True)
+    ])
+    assert whole.schema == alone.schema
+    for c in whole.column_names:
+        assert whole[c].equals(alone[c]), c
