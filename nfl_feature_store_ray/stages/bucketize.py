@@ -20,7 +20,12 @@ takes B = 2 x the cluster's CPUs by default (``shuffle_buckets``): every
 bucket task pays a fixed kernel / merge cost, so B beyond a couple of
 tasks per CPU buys no parallelism, only calls. A bucket then holds about
 total / (2 x CPUs) rows; a job whose buckets would outgrow a worker's
-heap passes an explicit ``num_buckets``. The PERSISTED layout
+heap passes an explicit ``num_buckets``. Ray plans the groupby as a sort
+one task per INPUT block wide, so ``asof_join`` first coalesces its
+tagged union to B blocks (``Dataset.repartition(B)``, no row shuffle):
+its exchange and merge then run B tasks, not one per block the callers'
+reads produced. ``window_features`` does not coalesce yet (ROADMAP item
+1). The PERSISTED layout
 (``state.manifest.partitioned_commit``) stays at
 ``schemas.DEFAULT_NUM_BUCKETS`` whatever the cluster: later commits
 skip unchanged partitions and ``window_features_incremental`` carries

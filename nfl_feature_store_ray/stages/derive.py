@@ -77,14 +77,18 @@ def _derive_wide_batch(batch: pa.Table) -> pa.Table:
     out = out.append_column(
         "avg_tok_len", pa.array(round_half_away(tl / np.maximum(nt, 1.0), 2))
     )
-    out = out.append_column("value_half", pa.array(round_half_away(v / 2.0, 2)))
+    # a NULL or NaN value yields NULL in every value-derived column
+    # (to_numpy reads NULL as NaN; zero-fill so the int cast sees no NaN)
+    bad = np.isnan(v)
+    v = np.where(bad, 0.0, v)
     vf = np.floor(v)
-    out = out.append_column("val_floor", pa.array(vf))
-    out = out.append_column("val_frac", pa.array(round_half_away(v - vf, 2)))
-    out = out.append_column(
-        "val_cents_mod10",
-        pa.array((np.rint(v * 100.0).astype("int64") % 10).astype("int64")),
-    )
+    for name, col in (
+        ("value_half", round_half_away(v / 2.0, 2)),
+        ("val_floor", vf),
+        ("val_frac", round_half_away(v - vf, 2)),
+        ("val_cents_mod10", np.rint(v * 100.0).astype("int64") % 10),
+    ):
+        out = out.append_column(name, pa.array(col, mask=bad))
     out = out.append_column("tok_sq", pc.multiply(out["n_tokens"], out["n_tokens"]))
     out = out.append_column(
         "len_mod7", pa.array((tl.astype("int64") % 7).astype("int64"))

@@ -9,13 +9,17 @@ t' < t (strict by default — shift semantics, zero temporal leakage).
 
 Execution shape: both sides are hash-bucketed on the key (same
 deterministic hash as the window spine, so one partitioning key is reused
-across stages); each side is tagged in Arrow (colliding right columns
-renamed, an int8 side column appended) and the two are unioned so ONE
-shuffle co-locates them. Each bucket reaches polars as Arrow, where one
-``DataFrame.join_asof(by=key)`` performs the sorted merge (the sorted-merge
-setting of *Computing Complex Temporal Join Queries Efficiently*, SIGMOD
-2022). No broadcast, no global sort, no pandas; at 100 TB each bucket
-streams independently.
+across stages); each side is tagged in Arrow into ONE schema (left
+columns, then the right value columns with colliding names renamed, then
+an int8 side column; a column a side lacks is typed nulls) and the two
+are unioned so ONE shuffle co-locates them. The union is coalesced to one
+block per bucket first (a block split / merge, no row shuffle), so the
+exchange runs as many tasks wide as there are buckets, whatever the
+callers' read split. Each bucket reaches polars as Arrow, where one
+``DataFrame.join_asof(by=key)`` performs the sorted merge (the
+sorted-merge setting of *Computing Complex Temporal Join Queries
+Efficiently*, SIGMOD 2022). No broadcast, no global sort, no pandas; at
+100 TB each bucket streams independently.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ def asof_join(
     ``num_buckets=None`` shuffles both sides into 2 x the cluster's CPUs
     buckets (``stages.bucketize.shuffle_buckets``), one merge call each;
     a bucket holds about (left + right) / (2 x CPUs) rows, so at sizes
-    beyond a worker's heap pass a larger ``num_buckets``.
+    beyond a worker's heap pass a larger ``num_buckets``. Both sides share
+    one schema (the output's columns plus the side tag), and the exchange
+    is ``num_buckets`` tasks wide whatever the inputs' block counts.
     """
     num_buckets = shuffle_buckets(num_buckets)
     left_types = _arrow_types(left)
@@ -80,19 +86,26 @@ def asof_join(
 
     def tagged(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
         def tag(batch: pa.Table) -> pa.Table:
+            # both sides emit one schema (left columns, right values, side):
+            # a column this side lacks is typed nulls, so the union and the
+            # exchange need not unify two schemas (only a pandas object
+            # column, whose type is unknown at plan time, pads as null)
+            names = batch.column_names
             if side:
-                batch = batch.rename_columns([rename.get(c, c) for c in batch.column_names])
-            return batch.append_column(_SIDE_COL, pa.array(np.full(batch.num_rows, side, np.int8)))
+                names = [rename.get(c, c) for c in names]
+            have = dict(zip(names, batch.columns))
+            n = batch.num_rows
+            cols = [
+                have[c] if c in have else pa.nulls(n, t or pa.null())
+                for c, t in out_types.items()
+            ]
+            cols.append(pa.array(np.full(n, side, np.int8)))
+            return pa.Table.from_arrays(cols, names=[*out_types, _SIDE_COL])
 
         return with_bucket(ds.map_batches(tag, batch_format="pyarrow"), key, num_buckets)
 
     def merge_bucket(bucket: pa.Table) -> pa.Table:
         pl = _pl()
-        # a bucket fed by one side only lacks the other side's columns
-        present = set(bucket.schema.names)
-        for c, t in out_types.items():
-            if c not in present:
-                bucket = bucket.append_column(c, pa.nulls(bucket.num_rows, t or pa.null()))
         if bucket.column(on).null_count:
             raise ValueError(f"asof_join: the '{on}' column contains null values")
         # one lazy plan, collected once: the bucket's few hundred rows make
@@ -114,5 +127,9 @@ def asof_join(
                 out = out.set_column(i, got.name, out.column(i).cast(want))
         return out
 
-    both = tagged(left, 0).union(tagged(right, 1))
+    # coalesce the union's blocks (split / merge, no row shuffle) to one
+    # per bucket, so the exchange runs num_buckets tasks wide whatever the
+    # callers' read split; coalescing each input before ``tag`` instead
+    # hung on a one-CPU cluster
+    both = tagged(left, 0).union(tagged(right, 1)).repartition(num_buckets)
     return both.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pyarrow")

@@ -6,6 +6,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from nfl_feature_store_ray.stages.bucketize import shuffle_buckets
 from nfl_feature_store_ray.state.asof import asof_join
 
 
@@ -195,3 +196,23 @@ def test_asof_null_on_value_raises():
     for left, right in ((nulled_events, feats), (events, nulled_feats)):
         with pytest.raises(ValueError, match="null"):
             asof_join(rd.from_pandas(left), rd.from_pandas(right), num_buckets=4).materialize()
+
+
+def test_asof_exchange_is_as_wide_as_the_buckets():
+    """However many blocks the callers' reads bring, the union is coalesced
+    to one block per bucket before the exchange, so the merge returns at
+    most ``shuffle_buckets()`` blocks, with the rows of a 64-bucket run."""
+    events, feats = _frames()
+    buckets = shuffle_buckets()
+    right = rd.from_arrow(pa.Table.from_pandas(feats, preserve_index=False))
+    right = right.repartition(4 * buckets).materialize()
+    assert right.num_blocks() >= 4 * buckets
+
+    def rows(ds) -> pa.Table:
+        return pa.concat_tables(_blocks(ds)).sort_by(
+            [(c, "ascending") for c in ("conv_id", "ts", "ev")])
+
+    out = asof_join(rd.from_pandas(events), right).materialize()
+    assert out.num_blocks() <= buckets
+    explicit = asof_join(rd.from_pandas(events), right, num_buckets=64)
+    assert rows(out).equals(rows(explicit))

@@ -18,12 +18,14 @@ import pytest
 import ray.data as rd
 from hypothesis import given, settings, strategies as st
 
+from nfl_feature_store_ray.functions.rounding import round_half_away
 from nfl_feature_store_ray.pipelines.partitioned import (
     ingest_partitioned_with_transform,
     sort_partition,
     window_features_streaming,
 )
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
+from nfl_feature_store_ray.stages.derive import _derive_batch, _derive_wide_batch
 from nfl_feature_store_ray.state.incremental import window_features_incremental
 from nfl_feature_store_ray.state.skew import detect_heavy_keys, window_features_chained
 from nfl_feature_store_ray.state.window_engine import window_features
@@ -129,3 +131,27 @@ def test_library_paths_emit_no_nan_for_null_values(path, null_transcripts):
                                                                   batch_size=None))
     assert out.num_rows == null_transcripts.num_rows
     assert _nan_columns(out) == []
+
+
+def test_wide_value_columns_are_null_for_null_and_nan_values():
+    """The wide fan-out's value-derived columns are NULL where ``value`` is
+    NULL or NaN, and elsewhere bit-identical to the plain numpy formulas."""
+    tbl = pa.table({
+        "text": ["a b", "tools", None, "east", "", "it is"],
+        "role": ["user", "assistant", "tool", "user", "tool", "assistant"],
+        "tool": [None, "x", None, None, "y", None],
+        "value": pa.array([1.25, None, -3.45, float("nan"), 0.07, 12.5], pa.float64()),
+    })
+    bad = np.array([False, True, False, True, False, False])
+    v = np.array([1.25, -3.45, 0.07, 12.5])
+    expected = {
+        "value_half": pa.array(round_half_away(v / 2.0, 2)),
+        "val_floor": pa.array(np.floor(v)),
+        "val_frac": pa.array(round_half_away(v - np.floor(v), 2)),
+        "val_cents_mod10": pa.array(np.rint(v * 100.0).astype("int64") % 10),
+    }
+    out = _derive_wide_batch(_derive_batch(tbl))
+    for c, want in expected.items():
+        col = out.column(c)
+        assert col.is_null().to_pylist() == bad.tolist(), c
+        assert col.filter(pa.array(~bad)).combine_chunks().equals(want), c

@@ -31,7 +31,7 @@ OUT = "/tmp/nfl_fs_stream_one_cpu_out"
 METRICS = ("value", "text_len")
 TIMEOUT_S = 150
 
-CHILD = f"""
+ONE_CPU_SESSION = """
 import warnings
 warnings.filterwarnings("ignore")
 import ray
@@ -39,6 +39,9 @@ ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR", object_store_memory=100 * 2**20)
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
+"""
+
+CHILD = f"""
 from nfl_feature_store_ray.pipelines.partitioned import window_features_streaming
 ds = window_features_streaming({PART_DIR!r}, metrics={METRICS!r}, batch_size=16)
 ds.write_parquet({OUT!r})
@@ -46,10 +49,13 @@ ray.shutdown()
 """
 
 
-def _run_child():
+def run_one_cpu(job: str, what: str) -> None:
+    """Run ``job`` in a child process with its own one-CPU Ray session;
+    fail if it errors or does not finish in ``TIMEOUT_S``."""
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     proc = subprocess.Popen(
-        [sys.executable, "-c", CHILD], cwd=Path(__file__).resolve().parents[1],
+        [sys.executable, "-c", ONE_CPU_SESSION + job],
+        cwd=Path(__file__).resolve().parents[1],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         start_new_session=True,
     )
@@ -59,8 +65,7 @@ def _run_child():
         # the child's Ray daemons share its process group
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        raise AssertionError(
-            f"streaming job did not finish in {TIMEOUT_S} s on one CPU") from None
+        raise AssertionError(f"{what} did not finish in {TIMEOUT_S} s on one CPU") from None
     assert proc.returncode == 0, out[-4000:]
 
 
@@ -73,7 +78,7 @@ def test_streaming_finishes_on_one_cpu_and_matches_batch_engine():
         num_buckets=4, fingerprint_cols=["conv_id", "turn_idx"],
     )
 
-    _run_child()
+    run_one_cpu(CHILD, "streaming job")
 
     got = (
         pq.read_table(OUT).to_pandas()
