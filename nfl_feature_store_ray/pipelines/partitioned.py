@@ -105,30 +105,19 @@ def window_features_partitioned(
     metrics: tuple[str, ...] = ("value", "text_len", "n_tokens"),
     assign_turn_idx: bool = True,
     phases: tuple[str, ...] = (),
-    wide: bool = False,
 ) -> ray.data.Dataset:
     """Shuffle-free window-feature job over a pre-partitioned layout.
 
     read (one block per partition file) -> derive (Arrow, zero-copy) ->
     polars window kernel (Arrow in / Arrow out, sorts within partition).
-    ``wide=True`` derives the 20 WIDE_METRICS columns and runs the full
-    wide fan-out (with per-phase families when ``phases`` is set) —
-    still shuffle-free.
     """
-    from nfl_feature_store_ray.stages.derive import (
-        WIDE_METRICS,
-        derive_turn_columns,
-        derive_wide_metrics,
-    )
+    from nfl_feature_store_ray.stages.derive import derive_turn_columns
 
     paths = partition_files(part_dir)
     if not paths:
         raise FileNotFoundError(f"no part-*.parquet under {part_dir}")
     ds = ray.data.read_parquet(paths, override_num_blocks=len(paths))
     ds = derive_turn_columns(ds)
-    if wide:
-        ds = derive_wide_metrics(ds)
-        metrics = WIDE_METRICS
 
     def kern(tbl: pa.Table) -> pa.Table:
         return kernel_arrow(

@@ -1165,102 +1165,6 @@ ORACLES["session_stats"] = SQL_SESSION_STATS
 
 
 # ---------------------------------------------------------------------------
-# DYADIC time decay: state is an integer cent sum halved once per elapsed
-# MINUTE via a right shift, so every operation is exact integer arithmetic
-# on both engines and the query is bit-equal to its SQL oracle. Semantics
-# per conversation in (ts, _seq) order, c_i = max(round(value*100), 0)
-# (clamp keeps the state non-negative so >> == DuckDB's // which truncates
-# toward zero):
-#     prior_i = s_{i-1} >> min(63, gap_minutes_i)     (output, strictly prior)
-#     s_i     = prior_i + c_i
-# ---------------------------------------------------------------------------
-DYADIC_DECAY_US = 60_000_000  # one halving per elapsed minute
-
-
-def q_time_decay_dyadic(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "value"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        codes = pd.factorize(g["conv_id"])[0].astype(np.int64)
-        v = g["value"].to_numpy(dtype="float64")
-        c = np.where(np.isnan(v), 0.0, np.maximum(np.rint(v * 100.0), 0.0)).astype(np.int64)
-        us = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        prev_us = np.roll(us, 1)
-        gap_min = np.maximum((us - prev_us) // DYADIC_DECAY_US, 0)
-        n = len(g)
-        out = np.zeros(n, dtype=np.int64)
-        if n:
-            # Rows within the same MINUTE GROUP (gap_min == 0 runs) see no
-            # decay, so their priors are one exact cumsum off the group's
-            # start state; only the inter-group recurrence
-            # S_g = (S_{g-1} >> K_g) + sum(c in g) is sequential. The loop
-            # below steps GROUP positions, vectorized across every
-            # conversation in the bucket — a giant conversation costs
-            # O(its minute-group count), not O(its turns).
-            newc = np.concatenate([[True], codes[1:] != codes[:-1]])
-            newg = newc | (gap_min > 0)
-            gstarts_row = np.flatnonzero(newg)
-            n_groups = len(gstarts_row)
-            gsizes = np.diff(np.concatenate([gstarts_row, [n]]))
-            cs = np.cumsum(c)
-            base = np.concatenate([[0], cs])[gstarts_row]  # excl. group start
-            in_group_prior = cs - c - np.repeat(base, gsizes)
-            g_sum = np.add.reduceat(c, gstarts_row)
-            g_shift = np.minimum(gap_min[gstarts_row], 63)
-            g_conv = codes[gstarts_row]
-            cstarts = np.unique(g_conv, return_index=True)[1]
-            cglens = np.bincount(g_conv)
-            S = np.zeros(len(cstarts), dtype=np.int64)
-            g_state = np.zeros(n_groups, dtype=np.int64)
-            for p in range(int(cglens.max())):
-                act = np.where(cglens > p)[0]
-                gidx = cstarts[act] + p
-                st = np.zeros(len(act), dtype=np.int64) if p == 0 \
-                    else S[act] >> g_shift[gidx]
-                g_state[gidx] = st
-                S[act] = st + g_sum[gidx]
-            out = np.repeat(g_state, gsizes) + in_group_prior
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "decay_sum": round_half_away(out.astype(np.float64) / 100.0, 6)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_TIME_DECAY_DYADIC = f"""WITH RECURSIVE t AS ({TRANSCRIPTS_FROM_EVENTS_SQL}),
-g AS (
-  SELECT conv_id, turn_idx,
-         CAST(GREATEST(COALESCE(ROUND(value * 100), 0), 0) AS BIGINT) AS c,
-         COALESCE(
-           (epoch_us(ts) - epoch_us(LAG(ts) OVER ({_W}))) // {DYADIC_DECAY_US},
-           0) AS gap_min
-  FROM t
-),
-rec AS (
-  SELECT conv_id, turn_idx, CAST(0 AS BIGINT) AS prior, c AS s
-  FROM g WHERE turn_idx = 0
-  UNION ALL
-  SELECT g.conv_id, g.turn_idx,
-         CASE WHEN g.gap_min >= 63 THEN 0
-              ELSE rec.s // (CAST(1 AS BIGINT) << g.gap_min) END AS prior,
-         CASE WHEN g.gap_min >= 63 THEN 0
-              ELSE rec.s // (CAST(1 AS BIGINT) << g.gap_min) END + g.c AS s
-  FROM rec JOIN g ON g.conv_id = rec.conv_id AND g.turn_idx = rec.turn_idx + 1
-)
-SELECT conv_id, turn_idx, ROUND(prior / 100.0, 6) AS decay_sum
-FROM rec
-"""
-
-QUERIES["w_time_decay_dyadic"] = q_time_decay_dyadic
-ORACLES["w_time_decay_dyadic"] = SQL_TIME_DECAY_DYADIC
-
-
-# ---------------------------------------------------------------------------
 # trailing-window DISTINCT count: distinct tools used in the prior 24h
 # (RANGE frame incl. ts peers) — the "distinct items in trailing window"
 # feature family (fraud/abuse-style recency features)
@@ -1458,134 +1362,6 @@ ORACLES["w_novelty"] = SQL_NOVELTY
 
 
 # ---------------------------------------------------------------------------
-# trailing rolling MEDIAN (discrete) — the order-statistics window family
-# (robust-to-outliers counterpart of w_rolling's trailing mean). Selection
-# matches DuckDB quantile_disc: 1-based rank = ceil(0.5 * n), i.e. the
-# LOWER median — a pure order statistic, so the gate is hash-exact with no
-# float arithmetic at all (no even-count averaging).
-# ---------------------------------------------------------------------------
-def q_rolling_median(sf_dir: str):
-    """Per turn: discrete median of the previous 1..3 values of the same
-    conversation (ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING), NULL when no
-    prior rows. Vectorized: three shifted copies stacked, one column-wise
-    np.sort (NaN sorts last), one gather at index (n_valid - 1) // 2."""
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "value"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        n = len(g)
-        v = g["value"].to_numpy(dtype="float64")
-        codes = pd.factorize(g["conv_id"])[0].astype(np.int64)
-
-        def shifted(k: int) -> np.ndarray:
-            s = np.full(n, np.nan)
-            if n > k:
-                s[k:] = v[:-k]
-                s[k:][codes[k:] != codes[:-k]] = np.nan  # conv boundary
-            return s
-
-        m = np.stack([shifted(1), shifted(2), shifted(3)])
-        cnt = (~np.isnan(m)).sum(axis=0)
-        srt = np.sort(m, axis=0)  # NaN sorts last per column
-        idx = np.maximum((cnt - 1) // 2, 0)
-        med = srt[idx, np.arange(n)]
-        med[cnt == 0] = np.nan
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "med_value": round_half_away(med, 6)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_ROLLING_MEDIAN = f"""{_T}
-SELECT conv_id, turn_idx,
-       ROUND(quantile_disc(value, 0.5)
-             OVER ({_W} ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING), 6) AS med_value
-FROM t
-"""
-
-QUERIES["w_rolling_median"] = q_rolling_median
-ORACLES["w_rolling_median"] = SQL_ROLLING_MEDIAN
-
-
-# ---------------------------------------------------------------------------
-# exact distributed variance / std per conversation — the "parallel
-# variance" aggregate done the hash-exact way: integer-cent partials
-# (n, Σc, Σc²) are order-independent, the (n·Σc² − (Σc)²) numerator is
-# EXACT integer arithmetic on both engines, and the only float ops are one
-# division and one sqrt — both IEEE correctly-rounded, hence identical.
-# ---------------------------------------------------------------------------
-def q_agg_variance(sf_dir: str):
-    """Per conversation: n_turns, sample variance and std of ``value``.
-
-    Partial (n, Σc, Σc²) per batch -> ONE conv-keyed shuffle -> exact
-    integer merge. Never ships raw rows through the exchange; at 10^12
-    turns the shuffle carries 3 ints per (batch, conv)."""
-    ts = transcripts_from_events(sf_dir)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # NULL-masked cents: SQL's SUM skips NULL vc while COUNT(*) keeps
-        # the row, so c/c2 mask to 0 and n counts everything; nn lets the
-        # final emit NULL variance for an all-NULL conversation. (Fun
-        # fact, documented for the reviewer: the UNmasked cast is wrap-
-        # immune here — each NaN adds 2^63 to s, and (S + k*2^63)^2 ===
-        # S^2 (mod 2^64) — but relying on that is obscurity, not safety.)
-        v = df["value"].to_numpy(dtype="float64")
-        m = ~np.isnan(v)
-        vc = np.where(m, np.rint(v * 100.0), 0.0).astype(np.int64)
-        d = pd.DataFrame(
-            {"conv_id": df["conv_id"], "c": vc, "c2": vc * vc,
-             "n": np.int64(1), "nn": m.astype(np.int64)}
-        )
-        return d.groupby("conv_id", as_index=False).sum()
-
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("conv_id", as_index=False)[["c", "c2", "n", "nn"]].sum()
-        n = g["n"].to_numpy(np.int64)
-        nn = g["nn"].to_numpy(np.int64)
-        num = n * g["c2"].to_numpy(np.int64) - g["c"].to_numpy(np.int64) ** 2
-        nf = n.astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            var = num.astype(np.float64) / (10000.0 * nf * (nf - 1.0))
-            var = np.where((n > 1) & (nn > 0), var, np.nan)
-            std = np.sqrt(var)
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "n_turns": n,
-             "var_value": round_half_away(var, 6),
-             "std_value": round_half_away(std, 6)}
-        )
-
-    partials = ts.map_batches(partial, batch_format="pandas")
-    return map_conv_buckets(partials, final, key="conv_id", sort_cols=["conv_id"])
-
-
-# the SQL mirrors the engine's float-op ORDER exactly (one division, one
-# sqrt) so correctly-rounded IEEE semantics make both sides bit-identical
-SQL_AGG_VARIANCE = f"""{_T},
-c AS (SELECT conv_id, CAST(ROUND(value * 100) AS BIGINT) AS vc FROM t),
-a AS (
-  SELECT conv_id, COUNT(*) AS n_turns, SUM(vc) AS s, SUM(vc * vc) AS s2
-  FROM c GROUP BY conv_id
-)
-SELECT conv_id, CAST(n_turns AS BIGINT) AS n_turns,
-       ROUND(CASE WHEN n_turns > 1 THEN
-         (n_turns * s2 - s * s) / (10000.0 * n_turns * (n_turns - 1))
-       END, 6) AS var_value,
-       ROUND(CASE WHEN n_turns > 1 THEN
-         sqrt((n_turns * s2 - s * s) / (10000.0 * n_turns * (n_turns - 1)))
-       END, 6) AS std_value
-FROM a
-"""
-
-QUERIES["agg_variance"] = q_agg_variance
-ORACLES["agg_variance"] = SQL_AGG_VARIANCE
-
-
-# ---------------------------------------------------------------------------
 # conversation role-transition matrix — corpus-wide counts of (prev_role,
 # role) bigrams (never across conversation boundaries): the Markov-chain
 # summary of dialogue structure (how often does user->tool happen, etc.)
@@ -1622,142 +1398,6 @@ GROUP BY prev_role, role
 
 QUERIES["role_transitions"] = q_role_transitions
 ORACLES["role_transitions"] = SQL_ROLE_TRANSITIONS
-
-
-# ---------------------------------------------------------------------------
-# running extremes over strictly-prior turns (cumulative max/min) — the
-# "best/worst outcome so far" point-in-time features; pure order statistics,
-# no float arithmetic, hash-exact
-# ---------------------------------------------------------------------------
-def q_cummax(sf_dir: str):
-    """Per turn: max and min of ``value`` over the conversation's STRICTLY
-    prior turns (NULL on first turns) — same leakage contract as every
-    other window feature. Vectorized: C-path groupby cummax/cummin, then a
-    groupby shift(1)."""
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "value"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        grp = g.groupby("conv_id", sort=False)
-        # ∓inf mask fill: pandas cummax/cummin emit NaN AT NaN positions
-        # instead of carrying the running extreme through them, while the
-        # SQL MAX/MIN window ignores NULLs; ±inf survives only while no
-        # non-null value has been seen -> back to NULL, matching SQL
-        v = g["value"]
-        mx = (
-            v.fillna(-np.inf).groupby(g["conv_id"], sort=False).cummax()
-            .groupby(g["conv_id"], sort=False).shift(1)
-        )
-        mn = (
-            v.fillna(np.inf).groupby(g["conv_id"], sort=False).cummin()
-            .groupby(g["conv_id"], sort=False).shift(1)
-        )
-        mx = mx.where(np.isfinite(mx))
-        mn = mn.where(np.isfinite(mn))
-        turn_idx = grp.cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "max_prior": round_half_away(mx.to_numpy(dtype="float64"), 6),
-             "min_prior": round_half_away(mn.to_numpy(dtype="float64"), 6)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_CUMMAX = f"""{_T}
-SELECT conv_id, turn_idx,
-       ROUND(MAX(value) OVER ({_W} ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 6)
-         AS max_prior,
-       ROUND(MIN(value) OVER ({_W} ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 6)
-         AS min_prior
-FROM t
-"""
-
-QUERIES["w_cummax"] = q_cummax
-ORACLES["w_cummax"] = SQL_CUMMAX
-
-
-# ---------------------------------------------------------------------------
-# expanding correlation between the value metric and the turn's token count
-# over strictly-prior turns — cross-signal second-moment feature, computed
-# from EXACT integer windowed moments (n, Σx, Σy, Σxy, Σx², Σy²); the float
-# tail is num / (sqrt(denx) * sqrt(deny)) with the op order mirrored in the
-# SQL, so the gate is hash-exact like agg_variance
-# ---------------------------------------------------------------------------
-def q_expanding_corr(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "text", "value"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        # NULL-masked cents: a NULL value contributes 0 to every x-moment
-        # (== SQL SUM's NULL-skip of x, x*y, x*x) while n stays COUNT(*).
-        # (An unmasked NaN cast is wrap-immune for the SQUARE moments but
-        # NOT for the x*y cross term — its 2^63 residue survives whenever
-        # the null row's token count is odd.)
-        v = g["value"].to_numpy(dtype="float64")
-        x = np.where(np.isnan(v), 0.0, np.rint(v * 100.0)).astype(np.int64)
-        low = g["text"].fillna("").str.lower()
-        y = (low.str.count(" ").to_numpy(np.int64) + 1)  # ws tokens ('' -> 1)
-        d = pd.DataFrame(
-            {"x": x, "y": y, "xy": x * y, "x2": x * x, "y2": y * y, "one": np.int64(1)}
-        )
-        grp = d.groupby(g["conv_id"].to_numpy(), sort=False)
-        cums = grp.cumsum()
-        conv = g["conv_id"]
-        prior = cums.groupby(conv.to_numpy(), sort=False).shift(1)
-        n = prior["one"].to_numpy(np.float64)
-        sx = prior["x"].to_numpy(np.float64)
-        sy = prior["y"].to_numpy(np.float64)
-        sxy = prior["xy"].to_numpy(np.float64)
-        sx2 = prior["x2"].to_numpy(np.float64)
-        sy2 = prior["y2"].to_numpy(np.float64)
-        num = n * sxy - sx * sy
-        denx = n * sx2 - sx * sx
-        deny = n * sy2 - sy * sy
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = num / (np.sqrt(denx) * np.sqrt(deny))
-        corr = np.where((n > 1) & (denx > 0) & (deny > 0), corr, np.nan)
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": turn_idx,
-             "corr_val_tokens": round_half_away(corr, 6)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_EXPANDING_CORR = f"""{_T},
-b AS (
-  SELECT conv_id, turn_idx, ts, _seq,
-         CAST(ROUND(value * 100) AS BIGINT) AS x,
-         CAST(len(string_split(lower(coalesce(text, '')), ' ')) AS BIGINT) AS y
-  FROM t
-),
-m AS (
-  SELECT conv_id, turn_idx,
-         CAST(COUNT(*) OVER pw AS DOUBLE) AS n,
-         CAST(SUM(x) OVER pw AS DOUBLE) AS sx,
-         CAST(SUM(y) OVER pw AS DOUBLE) AS sy,
-         CAST(SUM(x * y) OVER pw AS DOUBLE) AS sxy,
-         CAST(SUM(x * x) OVER pw AS DOUBLE) AS sx2,
-         CAST(SUM(y * y) OVER pw AS DOUBLE) AS sy2
-  FROM b
-  WINDOW pw AS ({_W} ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-)
-SELECT conv_id, turn_idx,
-       ROUND(CASE WHEN n > 1 AND (n * sx2 - sx * sx) > 0 AND (n * sy2 - sy * sy) > 0
-             THEN (n * sxy - sx * sy)
-                  / (sqrt(n * sx2 - sx * sx) * sqrt(n * sy2 - sy * sy))
-             END, 6) AS corr_val_tokens
-FROM m
-"""
-
-QUERIES["w_expanding_corr"] = q_expanding_corr
-ORACLES["w_expanding_corr"] = SQL_EXPANDING_CORR
 
 
 # ---------------------------------------------------------------------------
@@ -2535,69 +2175,6 @@ ORACLES["split_convs"] = SQL_SPLIT_CONVS
 
 
 # ---------------------------------------------------------------------------
-# Rolling MODE over a bounded domain: most frequent role in the trailing
-# 5-turn window (4 PRECEDING..CURRENT ROW) per conversation — the windowed
-# categorical-mode family (A2/A5/A8's deterministic mode, windowed). The
-# role domain is exactly {assistant, tool, user}, so the kernel keeps ONE
-# rolling count per value (shifted-indicator sums with conversation-
-# boundary masking — no sort-within-window, no hash map) and argmax with
-# the pinned tie rule (count DESC, role ASC; np.argmax returns the first
-# maximum, and the rows are ordered role-ascending). At 100 TB this is the
-# right mode shape whenever the domain is bounded.
-# ---------------------------------------------------------------------------
-ROLLING_MODE_W = 5
-_MODE_ROLES = ("assistant", "tool", "user")  # ascending = tie priority
-
-
-def q_rolling_mode(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "role"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        n = len(g)
-        codes = pd.factorize(g["conv_id"])[0].astype(np.int64)
-        role = g["role"].to_numpy()
-        counts = np.zeros((len(_MODE_ROLES), n), dtype=np.int64)
-        for ri, r in enumerate(_MODE_ROLES):
-            ind = (role == r).astype(np.int64)
-            c = ind.copy()
-            for k in range(1, ROLLING_MODE_W):
-                if n > k:
-                    c[k:] += ind[:-k] * (codes[k:] == codes[:-k])
-            counts[ri] = c
-        pick = counts.argmax(axis=0)
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "mode_role": np.array(_MODE_ROLES, dtype=object)[pick],
-             "mode_cnt": counts.max(axis=0)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_ROLLING_MODE = f"""{_T},
-c AS (
-  SELECT conv_id, turn_idx,
-         SUM(CASE WHEN role = 'assistant' THEN 1 ELSE 0 END) OVER w AS ca,
-         SUM(CASE WHEN role = 'tool' THEN 1 ELSE 0 END) OVER w AS ct,
-         SUM(CASE WHEN role = 'user' THEN 1 ELSE 0 END) OVER w AS cu
-  FROM t
-  WINDOW w AS ({_W} ROWS BETWEEN {ROLLING_MODE_W - 1} PRECEDING AND CURRENT ROW)
-)
-SELECT conv_id, turn_idx,
-       CASE WHEN ca >= ct AND ca >= cu THEN 'assistant'
-            WHEN ct >= cu THEN 'tool' ELSE 'user' END AS mode_role,
-       CAST(GREATEST(ca, ct, cu) AS BIGINT) AS mode_cnt
-FROM c
-"""
-
-QUERIES["w_rolling_mode"] = q_rolling_mode
-ORACLES["w_rolling_mode"] = SQL_ROLLING_MODE
-
-
 # ---------------------------------------------------------------------------
 # Late-arrival audit: per conversation, how many events arrived (by _seq,
 # the physical ingestion order) with a timestamp BEHIND the running
@@ -2809,56 +2386,6 @@ FROM t JOIN s ON date_trunc('day', t.ts) = s.day AND t.role = s.role
 
 QUERIES["target_encode"] = q_target_encode
 ORACLES["target_encode"] = SQL_TARGET_ENCODE
-
-
-# ---------------------------------------------------------------------------
-# Per-day min-max normalization — the [0, 1] feature scaling within a
-# cohort (the complement of z-score standardization): exact integer
-# min/max per day, ONE float division mirrored in the SQL. NULL values
-# stay NULL; a constant day (max == min) is NULL (SQL NULLIF); all-NULL
-# days have NULL bounds.
-# ---------------------------------------------------------------------------
-def q_minmax_day(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-    pruned = _prune(ts, ["conv_id", "_seq", "ts", "value"])
-
-    def norm(g: pd.DataFrame) -> pd.DataFrame:
-        day = g["ts"].astype("datetime64[us]").dt.floor("D")
-        v = g["value"].to_numpy(dtype="float64")
-        vc = np.rint(v * 100.0)
-        dd = pd.DataFrame({"day": day, "vc": vc})
-        grp = dd.groupby("day", sort=False)["vc"]
-        lo = grp.transform("min").to_numpy()   # pandas min/max skip NaN
-        hi = grp.transform("max").to_numpy()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(hi > lo, (vc - lo) / (hi - lo), np.nan)
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "_seq": g["_seq"],
-             "mm_value": round_half_away(out, 6)}
-        )
-
-    return map_conv_buckets(
-        pruned.map_batches(
-            lambda df: df.assign(day=df["ts"].astype("datetime64[us]").dt.floor("D")),
-            batch_format="pandas"),
-        norm, key="day", sort_cols=["day", "conv_id", "_seq"], num_buckets=32)
-
-
-SQL_MINMAX_DAY = f"""{_T},
-c AS (
-  SELECT conv_id, _seq, date_trunc('day', ts) AS day,
-         ROUND(value * 100) AS vc
-  FROM t
-),
-s AS (SELECT day, MIN(vc) AS lo, MAX(vc) AS hi FROM c GROUP BY day)
-SELECT c.conv_id, c._seq,
-       ROUND(CASE WHEN s.hi > s.lo THEN (c.vc - s.lo) / (s.hi - s.lo) END, 6)
-         AS mm_value
-FROM c JOIN s USING (day)
-"""
-
-QUERIES["minmax_day"] = q_minmax_day
-ORACLES["minmax_day"] = SQL_MINMAX_DAY
 
 
 # ---------------------------------------------------------------------------

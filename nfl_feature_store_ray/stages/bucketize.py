@@ -25,7 +25,7 @@ one task per INPUT block wide, so ``asof_join`` first coalesces its
 tagged union to B blocks (``Dataset.repartition(B)``, no row shuffle):
 its exchange and merge then run B tasks, not one per block the callers'
 reads produced. ``window_features`` does not coalesce yet (ROADMAP item
-1). The PERSISTED layout
+3). The PERSISTED layout
 (``state.manifest.partitioned_commit``) stays at
 ``schemas.DEFAULT_NUM_BUCKETS`` whatever the cluster: later commits
 skip unchanged partitions and ``window_features_incremental`` carries

@@ -95,9 +95,3 @@ def _derive_wide_batch(batch: pa.Table) -> pa.Table:
     )
     out = out.append_column("is_long", pa.array((tl > 40).astype("int64")))
     return out
-
-
-def derive_wide_metrics(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Append the 17 extra WIDE_METRICS columns (requires derive_turn_columns
-    first for text_len / n_tokens)."""
-    return ds.map_batches(_derive_wide_batch, batch_format="pyarrow", zero_copy_batch=True)

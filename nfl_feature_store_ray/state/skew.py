@@ -23,8 +23,8 @@ Two mechanisms, matched to the two operator shapes:
    (``window_kernel_pl.kernel_arrow(carry=...)``: tail + O(1) registers)
    handed off between consecutive tasks — the same kernel and carry the
    streaming and incremental paths use, so the chain is bit-identical to
-   an unsplit run on every family but the rolling means. Sub-ranges of
-   ONE conversation are inherently sequential (windows are
+   an unsplit run on every family, the rolling means included.
+   Sub-ranges of ONE conversation are inherently sequential (windows are
    prefix-dependent); parallelism comes from other conversations' chains
    and the normal-path buckets running concurrently, and peak task memory
    is O(sub_range_rows), never O(conversation).
@@ -171,8 +171,7 @@ def window_features_chained(
     columns are ``window_kernel_pl.feature_columns`` (turn_idx assigned
     positionally from the sort order). Both branches run the same kernel,
     so the chain is bit-identical to the one-task batch kernel on every
-    family except the rolling means (form_*), which match within
-    rtol 1e-9.
+    family, the rolling means (form_*) included.
 
     ``num_buckets`` sizes the normal path's shuffle and is passed through
     to ``window_features``: ``None`` means 2 x the cluster's CPUs, so a

@@ -29,14 +29,14 @@ EVENT_QUERIES = [
     "w_sliding_window", "w_sliding_distinct", "w_tumbling", "w_label_split",
     "session_stats", "resume_manifest", "w_rolling_streaming",
     "w_incremental_append", "parse_props", "pair_join", "agg_career",
-    "w_turn_overlap", "w_novelty", "w_rolling_median", "agg_variance",
-    "role_transitions", "w_cummax", "w_expanding_corr", "w_streak",
+    "w_turn_overlap", "w_novelty",
+    "role_transitions", "w_streak",
     "asof_tolerance", "w_conv_text", "clean_text",
     "w_expanding_distinct", "set_ops_convs", "w_first_value", "w_lag_k",
     "w_hopping", "w_response_latency", "w_pattern_count", "dedup_consecutive",
-    "agg_tool_set", "w_session_funnel", "split_convs", "w_rolling_mode",
+    "agg_tool_set", "w_session_funnel", "split_convs",
     "json_props", "w_late_events", "w_groups_frame",
-    "target_encode", "w_time_decay_dyadic", "minmax_day", "w_rolling_grid7",
+    "target_encode", "w_rolling_grid7",
     "agg_gap_profile", "w_forward_sum_30m", "w_chained_subrange",
 ]
 
@@ -119,24 +119,23 @@ NULL_VALUE_QUERIES = [
     "w_rank_day", "w_rank_composite",
     "w_hopping", "w_groups_frame",
     "target_encode", "session_stats", "w_first_value", "w_lag_k",
-    "w_time_decay_dyadic",
     # verified NULL-clean by the round-4 full-registry sweep (value NULLs
     # never reach an int cast / their pandas kernels already share SQL's
     # NULL-skip semantics)
     "w_lag_gap", "w_rolling", "w_sliding_distinct", "w_label_split",
     "resume_manifest", "parse_props", "w_turn_overlap", "w_novelty",
-    "w_rolling_median", "role_transitions", "w_cummax", "w_expanding_corr",
+    "role_transitions",
     "w_streak", "w_conv_text", "clean_text",
     "w_expanding_distinct", "set_ops_convs",
     "w_response_latency", "w_pattern_count", "dedup_consecutive",
-    "agg_tool_set", "w_session_funnel", "split_convs", "w_rolling_mode",
+    "agg_tool_set", "w_session_funnel", "split_convs",
     "json_props", "w_late_events",
     # all-NULL-group semantics fixed in round 4 (min_count=1 partials /
     # nn counters; SQL SUM -> NULL preserved through carry/as-of/ranking)
-    "agg_variance", "w_tumbling", "w_densify", "w_densify_seeded",
+    "w_tumbling", "w_densify", "w_densify_seeded",
     "pair_join", "agg_career", "topk_convs",
     "asof_tolerance", "asof_daily",
-    "w_sliding_window", "w_asof_checkpoint", "minmax_day", "w_rolling_grid7",
+    "w_sliding_window", "w_asof_checkpoint", "w_rolling_grid7",
     "agg_gap_profile", "w_forward_sum_30m",
     # round 5: the flagship expanding/EWMA/session window kernels now skip
     # NULLs like SQL AVG/SUM (pandas + polars + streaming paths, see

@@ -91,43 +91,6 @@ def test_split_convs_group_integrity(ray_session):
     assert set(df["split"].unique()) == {"train", "val", "test"}
 
 
-def test_prefix_determinism_dyadic_decay(ray_session, tmp_path):
-    """w_time_decay_dyadic is strictly prior: truncating the input at any
-    cut timestamp leaves every surviving row's decay_sum bit-identical."""
-    import __ray_entry__ as e
-
-    rng = np.random.default_rng(31)
-    n = 400
-    ev = pd.DataFrame(
-        {"event_id": np.arange(n, dtype="int64"),
-         "ts": (pd.Timestamp("2024-08-01")
-                + pd.to_timedelta(np.cumsum(rng.integers(0, 200, n)), unit="s")
-                ).astype("datetime64[us]"),
-         "user_id": rng.integers(0, 12, n),
-         "event_type": "click",
-         "value": np.where(rng.random(n) < 0.1, np.nan,
-                           np.round(rng.random(n) * 90, 2)),
-         "props": "{}"}
-    )
-    d_full = tmp_path / "full"; d_full.mkdir()
-    ev.to_parquet(d_full / "events.parquet", index=False)
-    q = e.queries()["w_time_decay_dyadic"]
-    full = q(str(d_full)).to_pandas()
-    full_key = full.set_index(["conv_id", "turn_idx"])["decay_sum"]
-    for qq in (0.4, 0.8):
-        cut = ev["ts"].sort_values().iloc[int(n * qq)]
-        d_cut = tmp_path / f"cut{int(qq*10)}"; d_cut.mkdir()
-        ev[ev["ts"] <= cut].to_parquet(d_cut / "events.parquet", index=False)
-        part = q(str(d_cut)).to_pandas()
-        ref = full_key.reindex(
-            pd.MultiIndex.from_frame(part[["conv_id", "turn_idx"]]))
-        np.testing.assert_allclose(
-            part["decay_sum"].to_numpy(float), ref.to_numpy(float),
-            rtol=0, atol=0, equal_nan=True,
-            err_msg=f"dyadic decay leaks at cut {qq}",
-        )
-
-
 def test_prefix_determinism_sliding_and_asof(ray_session, tmp_path):
     """Trailing-window and as-of backfill operators are strictly backward:
     prefix truncation preserves every surviving row exactly."""

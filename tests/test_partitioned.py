@@ -43,19 +43,9 @@ def test_partitioned_equals_shuffled():
         .reset_index(drop=True)
     )
     assert len(a) == len(b) == tbl.num_rows
-    for c in b.columns:
-        assert c in a.columns, c
-        if b[c].dtype.kind in "fc":
-            # polars vs pandas kernels: same semantics, different summation
-            # order -> FIXTURES.md parity contract (allclose), not bit-exact
-            np.testing.assert_allclose(
-                a[c].to_numpy(float), b[c].to_numpy(float),
-                rtol=1e-9, atol=1e-12, equal_nan=True, err_msg=c,
-            )
-        else:
-            assert (
-                a[c].astype(str).to_numpy() == b[c].astype(str).to_numpy()
-            ).all(), c
+    # both paths run the same polars kernel: bit-identical, NULLs at the
+    # same rows
+    pd.testing.assert_frame_equal(a[b.columns], b, check_exact=True)
 
 
 def test_sort_partition_is_stable_and_matches_pandas_mergesort():
