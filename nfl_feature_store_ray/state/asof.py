@@ -12,10 +12,12 @@ deterministic hash as the window spine, so one partitioning key is reused
 across stages); each side is tagged in Arrow into ONE schema (left
 columns, then the right value columns with colliding names renamed, then
 an int8 side column; a column a side lacks is typed nulls) and the two
-are unioned so ONE shuffle co-locates them. The union is coalesced to one
-block per bucket first (a block split / merge, no row shuffle), so the
-exchange runs as many tasks wide as there are buckets, whatever the
-callers' read split. Each bucket reaches polars as Arrow, where one
+are unioned so ONE exchange (``stages.bucketize.exchange``, one bucket
+per task) co-locates them. The union is coalesced to one block per bucket
+before the exchange (a block split / merge, no row shuffle), so both the
+exchange's map and reduce sides run as many tasks wide as there are
+buckets, whatever the callers' read split. Each bucket reaches polars as
+Arrow, where one
 ``DataFrame.join_asof(by=key)`` performs the sorted merge (the
 sorted-merge setting of *Computing Complex Temporal Join Queries
 Efficiently*, SIGMOD 2022). No broadcast, no global sort, no pandas; at
@@ -28,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, shuffle_buckets, with_bucket
+from nfl_feature_store_ray.stages.bucketize import exchange, exchange_input, shuffle_buckets
 from nfl_feature_store_ray.state.window_kernel_pl import _pl
 
 _SIDE_COL = "_asof_side"
@@ -102,7 +104,7 @@ def asof_join(
             cols.append(pa.array(np.full(n, side, np.int8)))
             return pa.Table.from_arrays(cols, names=[*out_types, _SIDE_COL])
 
-        return with_bucket(ds.map_batches(tag, batch_format="pyarrow"), key, num_buckets)
+        return exchange_input(ds.map_batches(tag, batch_format="pyarrow"), key, num_buckets)
 
     def merge_bucket(bucket: pa.Table) -> pa.Table:
         pl = _pl()
@@ -127,9 +129,10 @@ def asof_join(
                 out = out.set_column(i, got.name, out.column(i).cast(want))
         return out
 
-    # coalesce the union's blocks (split / merge, no row shuffle) to one
-    # per bucket, so the exchange runs num_buckets tasks wide whatever the
-    # callers' read split; coalescing each input before ``tag`` instead
-    # hung on a one-CPU cluster
+    # each side is bucketed before the union, and the union is coalesced
+    # (block split / merge, no row shuffle) to one block per bucket before
+    # the exchange; coalescing each input before ``tag`` instead hung on a
+    # one-CPU cluster, and bucketing after the union costs a map operator
     both = tagged(left, 0).union(tagged(right, 1)).repartition(num_buckets)
-    return both.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pyarrow")
+    # one bucket per task: merge_bucket runs once per bucket
+    return exchange(both, merge_bucket, None, num_buckets)

@@ -10,10 +10,14 @@ partition's per-conversation carry (tails + O(1) registers + watermarks,
 the layout; the next run restores it, skips every already-processed turn
 by per-conversation processed count, runs just the delta through the
 window kernel with that carry, and atomically re-checkpoints. A partition
-whose delta is empty is skipped: it joins no kernel call and its state
-file is not rewritten. Each task reads whole partition files and runs
-one kernel call over all of its partitions' deltas, because at delta
-sizes the call's fixed cost, not the rows, sets the time.
+whose delta is empty is left alone: its state file is not rewritten.
+
+Each task runs one plan over its share of the partition files, because
+at delta sizes the fixed cost per call, not the rows, sets the time: one
+read of all its files into one frame (each row tagged with its file),
+one delta selection against the concatenated carries, one kernel call,
+then one ``partition_by(file)`` of the new carry, of which only the
+partitions with a delta are written.
 
 State format: each ``part-*.state.pkl`` holds one Arrow IPC file with the
 partition's carry table (the ``.state.pkl`` name is kept so existing
@@ -22,9 +26,11 @@ records ``STATE_FORMAT``; a state dir written in any other format — e.g.
 the earlier pickled per-conversation objects — is rejected with a
 "rebuild the state dir" error rather than read.
 
-Cost model at scale: a run touches every partition file but processes
-O(appended rows) compute; state files are O(active conversations in the
-partition) and are read/written once per run. Equality with
+Cost model at scale: a run reads every partition file and every carry
+once (O(stored rows) read and delta selection, one task per CPU), but
+runs the kernel over O(appended rows) plus the carried tails of the
+conversations they touch, and writes O(active conversations) of carry
+only for the partitions that grew. Equality with
 the batch engine at every append split is pinned by
 tests/test_incremental.py and the driver gate `w_incremental_append`
 (phase-1 features ∪ phase-2 features == full-batch == DuckDB SQL).
@@ -36,7 +42,6 @@ import json
 import os
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
 
 from nfl_feature_store_ray.pipelines.partitioned import partition_files
@@ -123,45 +128,47 @@ def window_features_incremental(
     cols = feature_columns(metrics, phases)
 
     def process(batch: pa.Table) -> pa.Table:
-        # a batch of whole partition files: each file's carry is restored
-        # and its delta selected on its own, then one kernel call covers
-        # every delta of the batch and each partition's carry is written
-        # back
+        # a batch of whole partition files, concatenated: one delta
+        # selection over their concatenated carries, one kernel call, and
+        # a carry write for each partition that had a delta
         pl = _pl()
-        deltas, olds, spaths = [], [], []
-        for path in batch["path"].to_pylist():
-            spath = _state_path(state_dir, os.path.basename(path))
-            carry = _read_carry(spath) if os.path.exists(spath) else empty_carry(metrics, phases)
-            # delta selection by per-conversation processed count: the
-            # layout is append-only per conversation and sorted by
-            # (conv, ts, tie), so "beyond the first k rows" is exactly the
-            # appended suffix
-            part = pl.read_parquet(path)
-            delta = (
-                part.with_columns(pl.int_range(pl.len()).over("conv_id").alias("_k"))
-                .join(pl.from_arrow(carry.select(["conv_id", "turns"])), on="conv_id",
-                      how="left", maintain_order="left")
-                .filter(pl.col("_k") >= pl.col("turns").fill_null(0))
-                .drop("_k", "turns")
-            )
-            if delta.height:  # an empty delta leaves the partition untouched
-                deltas.append(delta)
-                olds.append(carry)
-                spaths.append(spath)
-        if not deltas:  # typed empty output
-            return kernel_arrow(
-                _derive_batch(part.head(0).to_arrow()), metrics=metrics,
-                assign_turn_idx=True, sort=False, phases=phases,
-            ).select(cols)
-        delta = pl.concat(deltas, how="vertical_relaxed")
-        feats, carry = kernel_arrow(
-            _derive_batch(delta.to_arrow()), metrics=metrics, assign_turn_idx=True,
-            sort=False, phases=phases, carry=pa.concat_tables(olds),
+        paths = batch["path"].to_pylist()
+        carry = pa.concat_tables([
+            _read_carry(sp) if os.path.exists(sp) else empty_carry(metrics, phases)
+            for sp in (_state_path(state_dir, os.path.basename(p)) for p in paths)
+        ])
+        # relaxed: partition files may type a column apart (an all-null one)
+        parts = pl.concat(
+            [pl.read_parquet(p).with_columns(_file=pl.lit(p)) for p in paths],
+            how="vertical_relaxed",
         )
-        for spath, old, d in zip(spaths, olds, deltas):
-            convs = pa.concat_arrays([old["conv_id"].combine_chunks(),
-                                      d["conv_id"].unique().to_arrow()])
-            _write_carry(spath, carry.filter(pc.is_in(carry["conv_id"], value_set=convs)))
+        # delta selection by per-conversation processed count: the layout
+        # is append-only per conversation, sorted by (conv, ts, tie) and a
+        # conversation lives in one partition, so "beyond the first k rows"
+        # is exactly the appended suffix
+        delta = (
+            parts.with_columns(pl.int_range(pl.len()).over("conv_id").alias("_k"))
+            .join(pl.from_arrow(carry.select(["conv_id", "turns"])), on="conv_id",
+                  how="left", maintain_order="left")
+            .filter(pl.col("_k") >= pl.col("turns").fill_null(0))
+            .drop("_k", "turns")
+        )
+        feats, carry = kernel_arrow(
+            _derive_batch(delta.drop("_file").to_arrow()), metrics=metrics,
+            assign_turn_idx=True, sort=False, phases=phases, carry=carry,
+        )
+        # each conversation's carry goes back to its partition's state file,
+        # for the partitions with a delta only (none on a pass without one)
+        owner = (
+            parts.select("conv_id", "_file").unique("conv_id")
+            .filter(pl.col("_file").is_in(delta["_file"].unique().implode()))
+        )
+        new = pl.from_arrow(carry).join(owner, on="conv_id", maintain_order="left")
+        for (path,), part_carry in new.partition_by("_file", as_dict=True).items():
+            _write_carry(
+                _state_path(state_dir, os.path.basename(path)),
+                part_carry.drop("_file").to_arrow().cast(carry.schema),
+            )
         return feats.select(cols)
 
     # one task per CPU, each over a share of the partition files read

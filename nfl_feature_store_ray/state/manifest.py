@@ -16,7 +16,10 @@ The rebuild replaces that with deterministic lineage manifests:
 
 A fingerprint is the wrapping ``uint64`` sum of polars row hashes
 (``DataFrame.hash_rows`` under a fixed seed) plus the row count. The sum
-is order-insensitive, so it is stable under block/batch nondeterminism.
+is order-insensitive, so it is stable under block/batch nondeterminism,
+and a row's hash does not depend on the other rows, so a commit task
+hashes its whole range of partitions in one pass and sums the hashes per
+partition (``np.add.reduceat``), bit for bit the per-partition value.
 It is also duplicate-sensitive (two equal rows do not cancel, as they did
 under XOR) and null-sensitive (a null cell hashes apart from the string
 ``"None"``), and columns are hashed apart rather than joined into one
@@ -39,27 +42,35 @@ import pyarrow.parquet as pq
 import ray.data
 
 from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
-from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, with_bucket
+from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, exchange, shuffle_buckets
 from nfl_feature_store_ray.state.window_kernel_pl import _pl
 
 _FP_SEED = 0x6E666C5F6673  # pinned: a new seed rewrites every stored partition
 
-MANIFEST_COLUMNS = [
-    "bucket", "input_fingerprint", "rows_in", "rows_out", "output_file",
-    "seconds", "rows_per_sec", "skipped",
-]
+MANIFEST_SCHEMA = pa.schema([
+    ("bucket", pa.int64()), ("input_fingerprint", pa.string()),
+    ("rows_in", pa.int64()), ("rows_out", pa.int64()), ("output_file", pa.string()),
+    ("seconds", pa.float64()), ("rows_per_sec", pa.float64()), ("skipped", pa.bool_()),
+])
+MANIFEST_COLUMNS = MANIFEST_SCHEMA.names
 
 
-def group_fingerprint(group: pa.Table | pd.DataFrame, cols: list[str]) -> str:
-    """``{wrapping sum of the row hashes of group[cols]:016x}-{rows}``."""
+def _row_hashes(group: pa.Table | pd.DataFrame, cols: list[str]) -> np.ndarray:
+    """uint64 hash of each row of ``group[cols]``; a row's hash does not
+    depend on the other rows."""
     pl = _pl()  # lazy: importing polars adds ~20 MB resident to the Ray head process
     frame = (
         pl.from_pandas(group[cols])
         if isinstance(group, pd.DataFrame)
         else pl.from_arrow(group.select(cols))
     )
-    h = frame.hash_rows(seed=_FP_SEED).to_numpy()
-    return f"{int(h.sum(dtype=np.uint64)):016x}-{frame.height}"
+    return frame.hash_rows(seed=_FP_SEED).to_numpy()
+
+
+def group_fingerprint(group: pa.Table | pd.DataFrame, cols: list[str]) -> str:
+    """``{wrapping sum of the row hashes of group[cols]:016x}-{rows}``."""
+    h = _row_hashes(group, cols)
+    return f"{int(h.sum(dtype=np.uint64)):016x}-{len(h)}"
 
 
 def partitioned_commit(
@@ -73,7 +84,12 @@ def partitioned_commit(
     """Lazy partition-commit stage: partition ``ds`` by hash(key), apply
     ``transform`` per partition, write each partition + manifest
     atomically; skip partitions whose manifest already matches the input
-    fingerprint. Each task's output is its partition's manifest row.
+    fingerprint. The ``num_buckets`` partitions are spread over
+    ``shuffle_buckets()`` tasks, a contiguous range of whole partitions
+    each; a task hashes its rows once and outputs one manifest row per
+    partition it holds. A manifest's ``seconds`` times that partition's
+    share of the task's hash pass (by rows), its skip check, transform and
+    writes.
 
     ``transform`` maps one partition's ``pa.Table`` (whole conversations,
     bucket column dropped, one chunk per column) to the ``pa.Table`` that
@@ -86,17 +102,9 @@ def partitioned_commit(
     CURRENT keys, or read via the manifests."""
     os.makedirs(out_dir, exist_ok=True)
 
-    def commit(group: pa.Table) -> pa.Table:
-        bucket = group[BUCKET_COL][0].as_py()
-        # shuffle output arrives as one chunk per map contribution
-        group = group.drop_columns([BUCKET_COL]).combine_chunks()
-        # default: fingerprint EVERY column — a value change without a key
-        # change must invalidate the partition ("pure function of the
-        # input"); pass fingerprint_cols only when a cheaper column subset
-        # provably determines the output
-        fcols = fingerprint_cols or group.column_names
-        t0 = time.perf_counter()
-        fp = group_fingerprint(group, fcols)
+    def commit_one(bucket: int, group: pa.Table, fp: str, hash_s: float) -> dict:
+        # hash_s: this partition's share of the task's fingerprint pass
+        t0 = time.perf_counter() - hash_s
         part_path = os.path.join(out_dir, f"part-{bucket:05d}.parquet")
         man_path = os.path.join(out_dir, f"part-{bucket:05d}.json")
 
@@ -105,7 +113,7 @@ def partitioned_commit(
                 prev = json.load(f)
             if prev.get("input_fingerprint") == fp:
                 prev["skipped"] = True
-                return pa.Table.from_pylist([prev])
+                return prev
 
         out = transform(group) if transform is not None else group
         tmp = part_path + ".tmp"
@@ -126,10 +134,32 @@ def partitioned_commit(
         with open(mtmp, "w") as f:
             json.dump(manifest, f)
         os.replace(mtmp, man_path)
-        return pa.Table.from_pylist([manifest])
+        return manifest
 
-    bucketed = with_bucket(ds, key=key, num_buckets=num_buckets)
-    return bucketed.groupby(BUCKET_COL).map_groups(commit, batch_format="pyarrow")
+    def commit(block: pa.Table) -> pa.Table:
+        # whole buckets sorted by bucket: one hash pass over the block, then
+        # each bucket's fingerprint is the wrapping sum of its rows' hashes
+        # (equal to group_fingerprint of that bucket alone)
+        buckets = block[BUCKET_COL].to_numpy()
+        starts = np.flatnonzero(np.diff(buckets, prepend=-1))
+        ends = np.r_[starts[1:], len(buckets)]
+        block = block.drop_columns([BUCKET_COL])
+        # default: fingerprint EVERY column — a value change without a key
+        # change must invalidate the partition ("pure function of the
+        # input"); pass fingerprint_cols only when a cheaper column subset
+        # provably determines the output
+        t0 = time.perf_counter()
+        hashes = _row_hashes(block, fingerprint_cols or block.column_names)
+        row_s = (time.perf_counter() - t0) / max(len(hashes), 1)
+        sums = np.add.reduceat(hashes, starts)
+        return pa.Table.from_pylist([
+            commit_one(int(buckets[a]), block.slice(a, b - a), f"{int(h):016x}-{b - a}",
+                       row_s * (b - a))
+            for a, b, h in zip(starts, ends, sums)
+        ], schema=MANIFEST_SCHEMA)
+
+    # the persisted buckets, a contiguous range of them per task
+    return exchange(ds, commit, key, num_buckets, tasks=shuffle_buckets())
 
 
 def write_partitioned(

@@ -1,11 +1,13 @@
 """The distributed window engine — per-conversation point-in-time features.
 
-One hash-bucket shuffle on ``conv_id`` (stages.bucketize), then the window
-kernel (``state.window_kernel_pl.kernel_arrow``, which documents every
-window family and the null and leakage contracts) over each bucket of
-whole conversations, Arrow in and Arrow out. The kernel runs each bucket
-as one polars plan of whole-frame scans that restart at conversation
-starts, so its output for a conversation does not depend on which other
+One hash-bucket exchange on ``conv_id`` (``stages.bucketize.exchange``,
+one bucket per task, as many tasks wide as there are buckets whatever
+the input's block count), then one window kernel call
+(``state.window_kernel_pl.kernel_arrow``, which documents every window
+family and the null and leakage contracts) per bucket of whole
+conversations, Arrow in and Arrow out. The kernel runs each bucket as one
+polars plan of whole-frame scans that restart at conversation starts, so
+its output for a conversation does not depend on which other
 conversations share the bucket: any bucket count gives the same bytes.
 """
 
@@ -50,27 +52,18 @@ def window_features(
             (lambda t: user_pk(_derive_batch(t))) if user_pk is not None else _derive_batch
         )
 
-    # Arrow spine: with_bucket appends the bucket column to Arrow batches
-    # (only the key round-trips through pandas for the hash), and the
-    # shuffled groups flow into the kernel as zero-copy Arrow tables ->
-    # polars, skipping the pandas block materialization (~20% faster than
-    # the pandas spine at sf0.1).
+    # Arrow spine: the exchange appends the bucket column to Arrow batches
+    # (only the key round-trips through pandas for the hash), and each
+    # bucket reaches the kernel as one zero-copy Arrow table -> polars,
+    # skipping the pandas block materialization (~20% faster than the
+    # pandas spine at sf0.1).
     import pyarrow as pa
 
-    from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, shuffle_buckets, with_bucket
+    from nfl_feature_store_ray.stages.bucketize import BUCKET_COL, exchange, shuffle_buckets
     from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
-    bucketed = with_bucket(
-        ds, key="conv_id", num_buckets=shuffle_buckets(num_buckets), heavy_keys=heavy_keys
-    )
-
     def kern(tbl: pa.Table) -> pa.Table:
-        # sort-exchange output arrives as one chunk PER MAP CONTRIBUTION
-        # (hundreds of tiny chunks per bucket at high block counts);
-        # pyarrow/polars kernels crawl on fragmented buffers, so pay one
-        # contiguous memcpy up front (measured 4x kernel-time cut on the
-        # 12.8M-turn wide job vs operating on the fragmented table)
-        tbl = tbl.drop_columns([BUCKET_COL]).combine_chunks()
+        tbl = tbl.drop_columns([BUCKET_COL])
         if pre_kernel is not None:
             tbl = pre_kernel(tbl)
         return kernel_arrow(
@@ -82,4 +75,5 @@ def window_features(
             phases=phases,
         )
 
-    return bucketed.groupby(BUCKET_COL).map_groups(kern, batch_format="pyarrow")
+    # one bucket per task: kern runs once per bucket
+    return exchange(ds, kern, "conv_id", shuffle_buckets(num_buckets), heavy_keys)

@@ -14,6 +14,7 @@ import pytest
 import ray.data as rd
 
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
+from nfl_feature_store_ray.stages.bucketize import bucket_of
 from nfl_feature_store_ray.state.manifest import (
     MANIFEST_COLUMNS,
     group_fingerprint,
@@ -81,6 +82,25 @@ def test_unchanged_input_all_skipped():
         rd.from_arrow(tbl), OUT, key="conv_id", num_buckets=8, transform=_transform
     )
     assert man3["skipped"].all()
+
+
+def test_manifest_fingerprint_is_the_partition_inputs_fingerprint():
+    """A commit task hashes its range of partitions in one pass and sums
+    each partition's row hashes; every manifest must hold exactly
+    ``group_fingerprint`` of that partition's input, so a store committed
+    one partition at a time keeps skipping unchanged partitions."""
+    out = "/tmp/nfl_fs_resume_fingerprint"
+    shutil.rmtree(out, ignore_errors=True)
+    tbl = generate_transcripts(n_convs=80, mean_turns=10, seed=43)
+    # more partitions than commit tasks, so each task holds several
+    man = write_partitioned(rd.from_arrow(tbl).repartition(7), out, num_buckets=32,
+                            transform=_transform)
+    buckets = bucket_of(tbl["conv_id"].to_pandas(), 32).to_numpy()
+    assert len(man) == len(set(buckets))
+    for row in man.itertuples():
+        group = tbl.filter(pa.array(buckets == row.bucket))
+        assert row.input_fingerprint == group_fingerprint(group, tbl.column_names)
+        assert row.rows_in == group.num_rows
 
 
 def test_stale_partitions_pruned_when_keys_vacate():
