@@ -16,6 +16,20 @@ import os
 
 import ray.data
 
+from nfl_feature_store_ray.stages.bucketize import cluster_cpus
+
+
+def _file_count(path: str) -> int:
+    """Files under ``path`` (1 for a file), skipping the names starting
+    with ``.`` or ``_``, as Ray's read does."""
+    if not os.path.isdir(path):
+        return 1
+    n = 0
+    for _, dirs, files in os.walk(path):
+        dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+        n += sum(not f.startswith((".", "_")) for f in files)
+    return n
+
 
 def read_table(
     sf_dir: str,
@@ -23,10 +37,22 @@ def read_table(
     columns: list[str] | None = None,
     **kwargs,
 ) -> ray.data.Dataset:
-    """Read ``{sf_dir}/{name}.parquet`` with column pruning.
+    """Read ``{sf_dir}/{name}.parquet`` (a file or a directory of files)
+    with column pruning.
 
     ``columns`` goes straight to ``ray.data.read_parquet`` so only the
     requested columns (and only matching row groups when a ``filter``
     expression is passed through ``kwargs``) leave storage.
-    """
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{name}.parquet"), columns=columns, **kwargs)
+
+    The read makes ``max(files, cluster CPUs)`` blocks unless the caller
+    passes ``override_num_blocks``: one read task per file, and a file is
+    split only to occupy idle CPUs, never for its size (Ray's default
+    cuts a 10 MB file into 10 blocks). A split read does not fuse with
+    the maps after it, so on one CPU this lets Ray run read -> map ->
+    exchange map side as one task per file. A file larger than
+    ``DataContext.target_max_block_size`` still comes out in several
+    blocks: the read task cuts its own output, which does not block
+    fusion."""
+    path = os.path.join(sf_dir, f"{name}.parquet")
+    kwargs.setdefault("override_num_blocks", max(_file_count(path), cluster_cpus()))
+    return ray.data.read_parquet(path, columns=columns, **kwargs)

@@ -95,10 +95,15 @@ def _events_to_transcript_batch(batch: pa.Table) -> pa.Table:
 
 
 def transcripts_from_events(sf_dir: str) -> ray.data.Dataset:
-    """Transcript dataset derived from ``{sf_dir}/events.parquet``.
+    """Transcript dataset derived from ``{sf_dir}/events.parquet`` (a
+    file or a directory of files).
 
     ``turn_idx`` is NOT yet assigned (the window engine's bucketed sort
-    assigns it from (ts, _seq)); all other columns are final.
+    assigns it from (ts, _seq)); all other columns are final. The read
+    (``read_table``) makes one block per file, so the columnar mapping
+    fuses with it, and with a following exchange's map side, into one
+    task per file; on a cluster with more CPUs than files each file is
+    split to occupy them.
     """
     events = read_table(
         sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type", "value", "props"]

@@ -25,9 +25,15 @@ holds about total / (2 x CPUs) rows; a job whose buckets would outgrow a
 worker's heap passes an explicit ``num_buckets``. The exchange passes the
 bucket-range starts to Ray's sort as explicit boundaries, so Ray skips
 its sampling pass and the reduce side is exactly as wide as the ranges,
-whatever the input's block count (the map side stays one task per input
-block; ``asof_join`` coalesces its tagged union to B blocks first, with
-``Dataset.repartition(B)``, no row shuffle). Sentinel rows give every
+whatever the input's block count. The map side (``exchange_input`` and
+the sort's map) stays one task per input block, so its width is the
+read's: ``sources.read_table`` reads one block per file (more only to
+occupy idle CPUs), and an unsplit read fuses with the maps after it,
+which on one CPU makes read -> transcript map -> ``exchange_input`` one
+task per file and hands each reduce block over as one chunk.
+``asof_join``, whose callers read in any split, coalesces its tagged
+union to B blocks first, with ``Dataset.repartition(B)``, no row
+shuffle. Sentinel rows give every
 range rows, so a range without data still hands ``fn`` a typed empty
 table instead of Ray's schema-less one. The PERSISTED layout
 (``state.manifest.partitioned_commit``) stays at

@@ -16,8 +16,8 @@ Each task runs one plan over its share of the partition files, because
 at delta sizes the fixed cost per call, not the rows, sets the time: one
 read of all its files into one frame (each row tagged with its file),
 one delta selection against the concatenated carries, one kernel call,
-then one ``partition_by(file)`` of the new carry, of which only the
-partitions with a delta are written.
+then one stable sort of the new carry by owning file, of which only the
+slices of partitions with a delta are written.
 
 State format: each ``part-*.state.pkl`` holds one Arrow IPC file with the
 partition's carry table (the ``.state.pkl`` name is kept so existing
@@ -41,7 +41,9 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from nfl_feature_store_ray.pipelines.partitioned import partition_files
@@ -69,6 +71,8 @@ def _check_meta(state_dir: str, meta: dict) -> None:
     if os.path.exists(meta_path):
         with open(meta_path) as f:
             prev = json.load(f)
+        if prev == meta:
+            return  # unchanged: the file keeps its bytes, mtime and inode
         same = all(prev.get(k) == meta[k] for k in ("state_format", "metrics", "phases"))
         grown = set(prev.get("partitions", [None])) <= set(meta["partitions"])
         if not (same and grown):
@@ -137,9 +141,11 @@ def window_features_incremental(
             _read_carry(sp) if os.path.exists(sp) else empty_carry(metrics, phases)
             for sp in (_state_path(state_dir, os.path.basename(p)) for p in paths)
         ])
-        # relaxed: partition files may type a column apart (an all-null one)
+        # relaxed: partition files may type a column apart (an all-null
+        # one); ``_file`` is the row's index into ``paths``
         parts = pl.concat(
-            [pl.read_parquet(p).with_columns(_file=pl.lit(p)) for p in paths],
+            [pl.read_parquet(p).with_columns(_file=pl.lit(i, pl.Int32))
+             for i, p in enumerate(paths)],
             how="vertical_relaxed",
         )
         # delta selection by per-conversation processed count: the layout
@@ -158,16 +164,25 @@ def window_features_incremental(
             assign_turn_idx=True, sort=False, phases=phases, carry=carry,
         )
         # each conversation's carry goes back to its partition's state file,
-        # for the partitions with a delta only (none on a pass without one)
-        owner = (
-            parts.select("conv_id", "_file").unique("conv_id")
-            .filter(pl.col("_file").is_in(delta["_file"].unique().implode()))
-        )
-        new = pl.from_arrow(carry).join(owner, on="conv_id", maintain_order="left")
-        for (path,), part_carry in new.partition_by("_file", as_dict=True).items():
+        # for the partitions with a delta only (none on a pass without one):
+        # one stable sort of the carry by owning file, one take, then one
+        # zero-copy slice per file
+        owner = parts.select("conv_id", "_file").unique("conv_id").to_arrow()
+        file_of = pc.take(owner["_file"], pc.index_in(carry["conv_id"], owner["conv_id"]))
+        if file_of.null_count:
+            raise ValueError(
+                f"incremental state at {state_dir} carries conversations that "
+                "no partition file holds: the layout is append-only "
+                "(rebuild the state dir after removing rows)"
+            )
+        file_of = file_of.to_numpy()
+        carry = carry.take(np.argsort(file_of, kind="stable"))
+        counts = np.bincount(file_of, minlength=len(paths))
+        starts = np.cumsum(counts) - counts
+        for i in delta["_file"].unique().to_list():
             _write_carry(
-                _state_path(state_dir, os.path.basename(path)),
-                part_carry.drop("_file").to_arrow().cast(carry.schema),
+                _state_path(state_dir, os.path.basename(paths[i])),
+                carry.slice(int(starts[i]), int(counts[i])),
             )
         return feats.select(cols)
 

@@ -182,16 +182,20 @@ def test_check_meta_write_is_atomic(tmp_path, monkeypatch):
     _check_meta(state, meta)
 
 
+def _file_state(path: str) -> tuple:
+    """A file's (bytes, mtime, inode)."""
+    st = os.stat(path)
+    with open(path, "rb") as f:
+        return f.read(), st.st_mtime_ns, st.st_ino
+
+
 def _state_files() -> dict:
     """Each partition state file's (bytes, mtime, inode)."""
-    out = {}
-    for name in sorted(os.listdir(STATE)):
-        if name.endswith(".state.pkl"):
-            path = os.path.join(STATE, name)
-            st = os.stat(path)
-            with open(path, "rb") as f:
-                out[name] = (f.read(), st.st_mtime_ns, st.st_ino)
-    return out
+    return {
+        name: _file_state(os.path.join(STATE, name))
+        for name in sorted(os.listdir(STATE))
+        if name.endswith(".state.pkl")
+    }
 
 
 def test_incremental_leaves_partitions_without_delta_untouched():
@@ -232,9 +236,27 @@ def test_incremental_pass_without_new_rows_writes_no_state():
     _ingest(tbl)
     window_features_incremental(PART, STATE, metrics=METRICS).count()
     before = _state_files()
+    meta = _file_state(os.path.join(STATE, "_incremental_meta.json"))
     assert before
     assert window_features_incremental(PART, STATE, metrics=METRICS).count() == 0
     assert _state_files() == before
+    # the meta file is rewritten only when it changes
+    assert _file_state(os.path.join(STATE, "_incremental_meta.json")) == meta
+
+
+def test_incremental_refuses_a_carried_conversation_gone_from_the_layout():
+    """The layout is append-only: a conversation whose rows left its
+    partition file fails the pass instead of losing its carry."""
+    import pytest
+
+    tbl = generate_transcripts(n_convs=20, mean_turns=10, seed=96).to_pandas()
+    shutil.rmtree(PART, ignore_errors=True)
+    shutil.rmtree(STATE, ignore_errors=True)
+    _ingest(tbl)
+    window_features_incremental(PART, STATE, metrics=METRICS).count()
+    _ingest(tbl[tbl["conv_id"] != tbl["conv_id"].iloc[0]])
+    with pytest.raises(Exception, match="no partition file holds"):
+        window_features_incremental(PART, STATE, metrics=METRICS).count()
 
 
 ONE_CPU_DIR = "/tmp/nfl_fs_incr_one_cpu"

@@ -59,3 +59,70 @@ def test_transcripts_from_events_two_file_dir(tmp_path):
         ctx.target_max_block_size = block_size
     assert got["_seq"].tolist() == list(range(5000))
     assert got["tool"].where(got["tool"].notna(), None).tolist() == _expected_tool(ev)
+
+
+def _events_dir(root, files: int):
+    """``root/events.parquet/`` holding the events table in ``files`` files."""
+    import pyarrow.parquet as pq
+
+    ev = _events(3000)
+    d = root / "events.parquet"
+    d.mkdir(parents=True)
+    step = -(-ev.num_rows // files)
+    for i in range(files):
+        pq.write_table(ev.slice(i * step, step), d / f"part-{i}.parquet")
+    return str(root)
+
+
+def test_read_makes_one_block_per_cpu_for_one_file(tmp_path):
+    """On 4 CPUs a one-file read is split to occupy them, 4 blocks (not
+    Ray's size-driven count); a caller's ``override_num_blocks`` wins."""
+    from nfl_feature_store_ray.sources.readers import read_table
+
+    sf = _events_dir(tmp_path, 1)
+    assert read_table(sf, "events").materialize().num_blocks() == 4
+    assert read_table(sf, "events", override_num_blocks=3).materialize().num_blocks() == 3
+
+
+ONE_CPU_READ = """
+import pyarrow as pa
+import pyarrow.parquet as pq
+from nfl_feature_store_ray.sources import transcripts_from_events
+from nfl_feature_store_ray.state import window_features
+one = transcripts_from_events({one!r}).materialize()
+assert one.num_blocks() == 1, one.num_blocks()
+three = transcripts_from_events({three!r}).materialize()
+assert three.num_blocks() == 3, three.num_blocks()
+feats = window_features(transcripts_from_events({one!r}), assign_turn_idx=True).materialize()
+stats = feats.stats()
+fused = "ReadParquet->MapBatches(_events_to_transcript_batch)->MapBatches(add)"
+assert fused + ": 1 tasks executed" in stats, stats
+blocks = list(feats.iter_batches(batch_size=None, batch_format="pyarrow"))
+pq.write_table(pa.concat_tables(blocks), {out!r})
+ray.shutdown()
+"""
+
+
+def test_read_fuses_with_the_maps_on_one_cpu(tmp_path):
+    """On one CPU the read makes one block per file, so Ray fuses read,
+    transcript map and the exchange's map side into one task per file;
+    ``window_features`` then equals this 4-CPU session's output."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from nfl_feature_store_ray.sources import transcripts_from_events
+    from nfl_feature_store_ray.state import window_features
+    from tests.test_streaming_one_cpu import run_one_cpu
+
+    one = _events_dir(tmp_path / "one", 1)
+    three = _events_dir(tmp_path / "three", 3)
+    out = str(tmp_path / "feats.parquet")
+    run_one_cpu(ONE_CPU_READ.format(one=one, three=three, out=out), "one-file read")
+
+    keys = ["conv_id", "turn_idx"]
+    got = pq.read_table(out).to_pandas().sort_values(keys).reset_index(drop=True)
+    want = (
+        window_features(transcripts_from_events(one), assign_turn_idx=True)
+        .to_pandas().sort_values(keys).reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want)
