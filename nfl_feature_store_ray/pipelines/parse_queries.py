@@ -137,39 +137,3 @@ ORACLES = {
     "success_points": SQL_SUCCESS_POINTS,
     "coalesce_fallbacks": SQL_COALESCE,
 }
-
-
-# ---------------------------------------------------------------------------
-# Real JSON extraction (vs parse_props' regex): the props payload parsed
-# with an actual JSON parser — polars' rust serde inside the batch (C
-# path, no Python loop) against DuckDB's JSON extension in the oracle.
-# The value is kept as the RAW extracted string (numbers, strings, even
-# nested arrays round-trip byte-identically on both parsers; casting to
-# int would diverge on float-strings: DuckDB TRY_CAST('3.7') rounds to 4
-# where polars nulls). Malformed / empty / missing-key payloads null out
-# identically (json_valid guard ↔ serde failure) — pinned by the fuzz
-# corpus's '', '{}', 'notjson' rows.
-# ---------------------------------------------------------------------------
-def q_json_props(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def extract(df: pd.DataFrame) -> pd.DataFrame:
-        import polars as pl
-
-        out = pl.from_pandas(df[["conv_id", "_seq", "text"]]).with_columns(
-            k_json=pl.col("text").str.json_path_match("$.k")
-        )
-        return out.drop("text").to_pandas()
-
-    return ts.map_batches(extract, batch_format="pandas")
-
-
-SQL_JSON_PROPS = f"""{_T}
-SELECT conv_id, _seq,
-       CASE WHEN json_valid(text) THEN json_extract_string(text, '$.k') END
-         AS k_json
-FROM t
-"""
-
-QUERIES["json_props"] = q_json_props
-ORACLES["json_props"] = SQL_JSON_PROPS

@@ -99,31 +99,3 @@ def window_features_streaming(
     # batch_size=None => one batch per block => whole partition per task
     return ds.map_batches(carry_kernel, batch_format="pyarrow", batch_size=None)
 
-
-def window_features_partitioned(
-    part_dir: str,
-    metrics: tuple[str, ...] = ("value", "text_len", "n_tokens"),
-    assign_turn_idx: bool = True,
-    phases: tuple[str, ...] = (),
-) -> ray.data.Dataset:
-    """Shuffle-free window-feature job over a pre-partitioned layout.
-
-    read (one block per partition file) -> derive (Arrow, zero-copy) ->
-    polars window kernel (Arrow in / Arrow out, sorts within partition).
-    """
-    from nfl_feature_store_ray.stages.derive import derive_turn_columns
-
-    paths = partition_files(part_dir)
-    if not paths:
-        raise FileNotFoundError(f"no part-*.parquet under {part_dir}")
-    ds = ray.data.read_parquet(paths, override_num_blocks=len(paths))
-    ds = derive_turn_columns(ds)
-
-    def kern(tbl: pa.Table) -> pa.Table:
-        return kernel_arrow(
-            tbl, metrics=metrics, assign_turn_idx=assign_turn_idx, sort=True,
-            phases=phases,
-        )
-
-    # batch_size=None => one batch per block => whole partition per call
-    return ds.map_batches(kern, batch_format="pyarrow", batch_size=None)

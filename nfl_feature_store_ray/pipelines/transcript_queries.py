@@ -1220,148 +1220,6 @@ ORACLES["w_sliding_distinct"] = SQL_SLIDING_DISTINCT
 
 
 # ---------------------------------------------------------------------------
-# consecutive-turn overlap: distinct-token Jaccard vs the previous turn +
-# exact-repeat flag — the agent-loop / degenerate-repetition detector (an
-# assistant stuck re-emitting the same reply shows jac_prev ~= 1 runs)
-# ---------------------------------------------------------------------------
-def q_turn_overlap(sf_dir: str):
-    """Per turn: Jaccard similarity of the DISTINCT lowercased token set vs
-    the previous turn of the same conversation (NULL on first turns), plus
-    an exact-text repeat flag.
-
-    Vectorized set intersection with NO per-row loops: one explode of the
-    token lists -> drop_duplicates gives the per-row distinct sets as a
-    (row, token) long table; the lag-1 intersection is ONE self-merge of
-    that table against itself shifted by a row (rows are consecutive
-    within the sorted bucket), then two bincounts. Null text ≡ '' (one
-    empty-string token), matching the oracle's coalesce."""
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "text"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        n = len(g)
-        if n == 0:  # typed ARROW empty (np.concatenate below assumes n >= 1;
-            # a zero-row object column would become an Arrow null-typed
-            # field and trip block-size estimation / schema unification)
-            import pyarrow as _pa
-
-            return _pa.table(
-                {"conv_id": _pa.array([], _pa.string()),
-                 "turn_idx": _pa.array([], _pa.int32()),
-                 "jac_prev": _pa.array([], _pa.float64()),
-                 "is_repeat": _pa.array([], _pa.float64())}
-            )
-        low = g["text"].fillna("").str.lower()
-        tok = low.str.split(" ").explode()
-        e = pd.DataFrame(
-            {"r": tok.index.to_numpy(np.int64), "tok": tok.to_numpy()}
-        ).drop_duplicates()
-        sizes = np.bincount(e["r"], minlength=n).astype(np.int64)
-        nxt = e.assign(r=e["r"] + 1)  # align row i's tokens with row i+1
-        hits = e.merge(nxt, on=["r", "tok"])
-        inter = np.bincount(hits["r"], minlength=n)[:n].astype(np.int64)
-        prev_sizes = np.concatenate([[0], sizes[:-1]])
-        union = sizes + prev_sizes - inter  # >= sizes >= 1 ('' splits to [''])
-        jac = inter / union
-        same = g["conv_id"].eq(g["conv_id"].shift(1)).to_numpy()
-        jac = np.where(same, jac, np.nan)
-        rep = np.where(same, (low == low.shift(1)).to_numpy(dtype="float64"), np.nan)
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "jac_prev": round_half_away(jac, 6), "is_repeat": rep}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_TURN_OVERLAP = f"""{_T},
-w AS (
-  SELECT conv_id, turn_idx, ts, _seq,
-         lower(coalesce(text, '')) AS lt,
-         list_distinct(string_split(lower(coalesce(text, '')), ' ')) AS tk
-  FROM t
-),
-l AS (
-  SELECT conv_id, turn_idx, lt, tk,
-         LAG(lt) OVER ({_W}) AS plt,
-         LAG(tk) OVER ({_W}) AS ptk
-  FROM w
-)
-SELECT conv_id, turn_idx,
-       ROUND(len(list_intersect(tk, ptk)) * 1.0
-             / (len(tk) + len(ptk) - len(list_intersect(tk, ptk))), 6) AS jac_prev,
-       CASE WHEN plt IS NULL THEN NULL
-            WHEN lt = plt THEN CAST(1 AS DOUBLE) ELSE CAST(0 AS DOUBLE) END AS is_repeat
-FROM l
-"""
-
-QUERIES["w_turn_overlap"] = q_turn_overlap
-ORACLES["w_turn_overlap"] = SQL_TURN_OVERLAP
-
-
-# ---------------------------------------------------------------------------
-# per-turn novelty: tokens first seen at this turn + cumulative conversation
-# vocabulary size — the "is the agent still saying new things" signal
-# (complements w_turn_overlap's lag-1 repetition view with a whole-history
-# one). ALL-INTEGER output: hash-exact with no rounding surface.
-# ---------------------------------------------------------------------------
-def q_novelty(sf_dir: str):
-    """Per turn: ``n_new_tokens`` = distinct tokens whose FIRST occurrence
-    in the conversation is this turn; ``cum_vocab`` = distinct tokens seen
-    up to and including this turn (prefix vocabulary size).
-
-    Vectorized: one explode -> (row, token) drop_duplicates -> a second
-    drop_duplicates on (conv, token) keeps each token's first-occurrence
-    row (rows arrive conversation-sorted, so 'first' is temporal), then a
-    bincount + per-conv cumsum. No per-row loops."""
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "text"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        n = len(g)
-        codes = pd.factorize(g["conv_id"])[0].astype(np.int64)
-        tok = g["text"].fillna("").str.lower().str.split(" ").explode()
-        e = pd.DataFrame(
-            {"r": tok.index.to_numpy(np.int64), "tok": tok.to_numpy()}
-        ).drop_duplicates()
-        e["c"] = codes[e["r"]]
-        first = e.drop_duplicates(subset=["c", "tok"], keep="first")
-        n_new = np.bincount(first["r"], minlength=n).astype(np.int64)
-        cum = pd.Series(n_new).groupby(codes, sort=False).cumsum().to_numpy()
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "n_new_tokens": n_new, "cum_vocab": cum.astype(np.int64)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_NOVELTY = f"""{_T},
-x AS (
-  SELECT conv_id, turn_idx,
-         unnest(list_distinct(string_split(lower(coalesce(text, '')), ' '))) AS tok
-  FROM t
-),
-f AS (SELECT conv_id, tok, MIN(turn_idx) AS ft FROM x GROUP BY conv_id, tok),
-nn AS (SELECT conv_id, ft AS turn_idx, COUNT(*) AS n_new FROM f GROUP BY conv_id, ft)
-SELECT t.conv_id, t.turn_idx,
-       CAST(coalesce(nn.n_new, 0) AS BIGINT) AS n_new_tokens,
-       CAST(SUM(coalesce(nn.n_new, 0))
-            OVER (PARTITION BY t.conv_id ORDER BY t.turn_idx) AS BIGINT) AS cum_vocab
-FROM t LEFT JOIN nn ON t.conv_id = nn.conv_id AND t.turn_idx = nn.turn_idx
-"""
-
-QUERIES["w_novelty"] = q_novelty
-ORACLES["w_novelty"] = SQL_NOVELTY
-
-
-# ---------------------------------------------------------------------------
 # conversation role-transition matrix — corpus-wide counts of (prev_role,
 # role) bigrams (never across conversation boundaries): the Markov-chain
 # summary of dialogue structure (how often does user->tool happen, etc.)
@@ -1398,104 +1256,6 @@ GROUP BY prev_role, role
 
 QUERIES["role_transitions"] = q_role_transitions
 ORACLES["role_transitions"] = SQL_ROLE_TRANSITIONS
-
-
-# ---------------------------------------------------------------------------
-# gaps-and-islands: consecutive same-role streaks — island index and the
-# running streak length at every turn (the "how long has the assistant been
-# talking to itself" feature). ALL-INTEGER, hash-exact.
-# ---------------------------------------------------------------------------
-def q_streak(sf_dir: str):
-    """Per turn: ``island`` = 1-based index of the current same-role run
-    within the conversation, ``streak_len`` = position within that run.
-    Vectorized islands: boundary mask (role change or conversation change)
-    -> cumsum island ids -> cumcount within (conv, island)."""
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "role"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        new_conv = ~g["conv_id"].eq(g["conv_id"].shift(1))
-        brk = (new_conv | ~g["role"].eq(g["role"].shift(1))).to_numpy()
-        island_global = np.cumsum(brk)  # distinct id per run across the bucket
-        island = (
-            pd.Series(brk).groupby(g["conv_id"].to_numpy(), sort=False).cumsum()
-            .to_numpy(np.int64)
-        )
-        streak = (
-            pd.Series(np.ones(len(g), dtype=np.int64))
-            .groupby(island_global, sort=False).cumsum().to_numpy(np.int64)
-        )
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "island": island, "streak_len": streak}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_STREAK = f"""{_T},
-g AS (
-  SELECT conv_id, turn_idx, ts, _seq,
-         CASE WHEN LAG(role) OVER ({_W}) IS DISTINCT FROM role
-              THEN 1 ELSE 0 END AS brk
-  FROM t
-),
-i AS (
-  SELECT conv_id, turn_idx, ts, _seq,
-         CAST(SUM(brk) OVER ({_W}) AS BIGINT) AS island
-  FROM g
-)
-SELECT conv_id, turn_idx, island,
-       CAST(ROW_NUMBER() OVER (PARTITION BY conv_id, island ORDER BY ts, _seq)
-            AS BIGINT) AS streak_len
-FROM i
-"""
-
-QUERIES["w_streak"] = q_streak
-ORACLES["w_streak"] = SQL_STREAK
-
-
-# ---------------------------------------------------------------------------
-# Conversation reassembly: the per-turn-text-equality contract made into a
-# gated query — every conversation's turns concatenated in stable
-# (ts, _seq) order with an unambiguous separator. Byte-identical output vs
-# the SQL string_agg oracle pins BOTH text round-tripping and ordering
-# (north rule: "per-turn text equality under stable (conv_id, turn_idx)
-# ordering"). Kernel is polars group_by + str.join (native, no Python loop).
-# ---------------------------------------------------------------------------
-def q_conv_text(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "text"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        import polars as pl
-
-        lf = (
-            pl.from_pandas(g)
-            .sort(["conv_id", "ts", "_seq"])
-            .group_by("conv_id", maintain_order=True)
-            .agg(
-                conv_text=pl.col("text").fill_null("").str.join("\x1f"),
-                n_turns=pl.len().cast(pl.Int64),
-            )
-        )
-        return lf.to_pandas()
-
-    return map_conv_buckets(pruned, kern, key="conv_id", sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_CONV_TEXT = f"""{_T}
-SELECT conv_id,
-       string_agg(COALESCE(text, ''), CHR(31) ORDER BY ts, _seq) AS conv_text,
-       COUNT(*) AS n_turns
-FROM t GROUP BY conv_id
-"""
-
-QUERIES["w_conv_text"] = q_conv_text
-ORACLES["w_conv_text"] = SQL_CONV_TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -1592,47 +1352,6 @@ SELECT 'except' AS op, conv_id FROM (SELECT conv_id FROM a1 EXCEPT SELECT conv_i
 
 QUERIES["set_ops_convs"] = q_set_ops_convs
 ORACLES["set_ops_convs"] = SQL_SET_OPS_CONVS
-
-
-# ---------------------------------------------------------------------------
-# Text normalization with byte-identical parity: lower -> replace every
-# non-[a-z0-9 ] CODE POINT with a space -> collapse space runs -> trim.
-# Engine uses pyarrow's RE2 kernels; DuckDB's regexp_replace is also RE2,
-# so the semantics (including multi-byte code points) match exactly — the
-# per-turn text-equality contract exercised through a transform instead of
-# a passthrough. Shuffle-free.
-# ---------------------------------------------------------------------------
-def q_clean_text(sf_dir: str):
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    ts = transcripts_from_events(sf_dir)
-
-    def clean(batch: pa.Table) -> pa.Table:
-        low = pc.utf8_lower(pc.coalesce(batch["text"], pa.scalar("")))
-        repl = pc.replace_substring_regex(low, pattern="[^a-z0-9 ]", replacement=" ")
-        collapsed = pc.replace_substring_regex(repl, pattern=" +", replacement=" ")
-        return pa.table(
-            {
-                "conv_id": batch["conv_id"],
-                "_seq": batch["_seq"],
-                "clean_text": pc.utf8_trim(collapsed, characters=" "),
-            }
-        )
-
-    return ts.map_batches(clean, batch_format="pyarrow")
-
-
-SQL_CLEAN_TEXT = f"""{_T}
-SELECT conv_id, _seq,
-       trim(regexp_replace(regexp_replace(lower(coalesce(text, '')),
-                                          '[^a-z0-9 ]', ' ', 'g'),
-                           ' +', ' ', 'g'), ' ') AS clean_text
-FROM t
-"""
-
-QUERIES["clean_text"] = q_clean_text
-ORACLES["clean_text"] = SQL_CLEAN_TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -1924,87 +1643,6 @@ FROM n
 
 QUERIES["w_response_latency"] = q_response_latency
 ORACLES["w_response_latency"] = SQL_RESPONSE_LATENCY
-
-
-# ---------------------------------------------------------------------------
-# sequential pattern counts — MATCH_RECOGNIZE reduced to its common fixed
-# cases: per conversation, how often does (user -> assistant) adjacency and
-# the full (user -> assistant -> tool) trigram occur? Shifted role
-# comparisons inside conversation buckets (never across boundaries);
-# all-integer output. The dialogue-structure counterpart of
-# role_transitions at the per-conversation grain.
-# ---------------------------------------------------------------------------
-def q_pattern_count(sf_dir: str):
-    ts = _prune(transcripts_from_events(sf_dir), ["conv_id", "ts", "_seq", "role"])
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("conv_id", sort=False)
-        r = df["role"].to_numpy(object)
-        p1 = g["role"].shift(1).to_numpy(object)
-        p2 = g["role"].shift(2).to_numpy(object)
-        ua = (p1 == "user") & (r == "assistant")
-        uat = (p2 == "user") & (p1 == "assistant") & (r == "tool")
-        d = pd.DataFrame({"conv_id": df["conv_id"],
-                          "n_ua": ua.astype(np.int64),
-                          "n_uat": uat.astype(np.int64),
-                          "n": np.int64(1)})
-        out = d.groupby("conv_id", as_index=False).sum()
-        out["n_turns"] = out.pop("n").astype("int64")
-        return out[["conv_id", "n_turns", "n_ua", "n_uat"]]
-
-    return map_conv_buckets(ts, bucket_fn)
-
-
-SQL_PATTERN_COUNT = f"""{_T},
-l AS (
-  SELECT conv_id, role,
-         LAG(role) OVER ({_W}) AS p1,
-         LAG(role, 2) OVER ({_W}) AS p2
-  FROM t
-)
-SELECT conv_id, COUNT(*) AS n_turns,
-       CAST(COUNT(*) FILTER (WHERE p1 = 'user' AND role = 'assistant') AS BIGINT) AS n_ua,
-       CAST(COUNT(*) FILTER (WHERE p2 = 'user' AND p1 = 'assistant' AND role = 'tool')
-            AS BIGINT) AS n_uat
-FROM l GROUP BY conv_id
-"""
-
-QUERIES["w_pattern_count"] = q_pattern_count
-ORACLES["w_pattern_count"] = SQL_PATTERN_COUNT
-
-
-# ---------------------------------------------------------------------------
-# consecutive-duplicate compaction — drop turns whose text exactly repeats
-# the previous turn's text in the same conversation (keep the first of each
-# run): the stream-compaction dedup for stuttering agent loops, complement
-# of w_turn_overlap's detector. NULL-safe semantics mirror SQL's
-# IS DISTINCT FROM (NULL after NULL is NOT distinct -> dropped).
-# ---------------------------------------------------------------------------
-def q_dedup_consecutive(sf_dir: str):
-    ts = _prune(transcripts_from_events(sf_dir), ["conv_id", "ts", "_seq", "text"])
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("conv_id", sort=False)
-        txt = df["text"]
-        prev = g["text"].shift(1)
-        same = (txt == prev) | (txt.isna() & prev.isna())
-        out = df.assign(turn_idx=g.cumcount().astype("int32"))[~same.to_numpy()]
-        return out[["conv_id", "turn_idx", "text"]]
-
-    return map_conv_buckets(ts, bucket_fn)
-
-
-SQL_DEDUP_CONSECUTIVE = f"""{_T},
-l AS (
-  SELECT conv_id, turn_idx, text, LAG(text) OVER ({_W}) AS prev
-  FROM t
-)
-SELECT conv_id, turn_idx, text
-FROM l WHERE text IS DISTINCT FROM prev
-"""
-
-QUERIES["dedup_consecutive"] = q_dedup_consecutive
-ORACLES["dedup_consecutive"] = SQL_DEDUP_CONSECUTIVE
 
 
 # ---------------------------------------------------------------------------

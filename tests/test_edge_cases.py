@@ -114,7 +114,8 @@ def test_all_null_metric_yields_all_null_windows():
 def test_phase_kernel_empty_block_keeps_schema():
     """Zero-row blocks through the phases branch must not crash and must
     emit the full phase-column schema (ADVICE r2 medium: lpi[0] IndexError
-    on empty partition files in window_features_partitioned)."""
+    on empty partition files). ``window_features`` hands the kernel such a
+    block for every exchange range without data."""
     from nfl_feature_store_ray.state.window_kernel_pl import kernel_arrow
 
     schema = pa.schema(

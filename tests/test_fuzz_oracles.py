@@ -29,13 +29,12 @@ EVENT_QUERIES = [
     "w_sliding_window", "w_sliding_distinct", "w_tumbling", "w_label_split",
     "session_stats", "resume_manifest", "w_rolling_streaming",
     "w_incremental_append", "parse_props", "pair_join", "agg_career",
-    "w_turn_overlap", "w_novelty",
-    "role_transitions", "w_streak",
-    "asof_tolerance", "w_conv_text", "clean_text",
+    "role_transitions",
+    "asof_tolerance",
     "w_expanding_distinct", "set_ops_convs", "w_first_value", "w_lag_k",
-    "w_hopping", "w_response_latency", "w_pattern_count", "dedup_consecutive",
+    "w_hopping", "w_response_latency",
     "agg_tool_set", "w_session_funnel", "split_convs",
-    "json_props", "w_late_events", "w_groups_frame",
+    "w_late_events", "w_groups_frame",
     "target_encode", "w_rolling_grid7",
     "agg_gap_profile", "w_forward_sum_30m", "w_chained_subrange",
 ]
@@ -123,13 +122,12 @@ NULL_VALUE_QUERIES = [
     # never reach an int cast / their pandas kernels already share SQL's
     # NULL-skip semantics)
     "w_lag_gap", "w_rolling", "w_sliding_distinct", "w_label_split",
-    "resume_manifest", "parse_props", "w_turn_overlap", "w_novelty",
+    "resume_manifest", "parse_props",
     "role_transitions",
-    "w_streak", "w_conv_text", "clean_text",
     "w_expanding_distinct", "set_ops_convs",
-    "w_response_latency", "w_pattern_count", "dedup_consecutive",
+    "w_response_latency",
     "agg_tool_set", "w_session_funnel", "split_convs",
-    "json_props", "w_late_events",
+    "w_late_events",
     # all-NULL-group semantics fixed in round 4 (min_count=1 partials /
     # nn counters; SQL SUM -> NULL preserved through carry/as-of/ranking)
     "w_tumbling", "w_densify", "w_densify_seeded",

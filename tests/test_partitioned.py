@@ -1,5 +1,6 @@
-"""Partitioned-layout path: ingest once, shuffle-free window job must give
-byte-identical features to the shuffle-based engine path."""
+"""Partitioned-layout path: ingest once (sorted), and the shuffle-free
+streaming window job must give byte-identical features to the
+shuffle-based engine path."""
 
 import shutil
 
@@ -11,7 +12,7 @@ import ray.data as rd
 from nfl_feature_store_ray.pipelines.partitioned import (
     ingest_partitioned_with_transform,
     sort_partition,
-    window_features_partitioned,
+    window_features_streaming,
 )
 from nfl_feature_store_ray.sources.transcripts import generate_transcripts
 from nfl_feature_store_ray.state.window_engine import window_features
@@ -26,12 +27,14 @@ def test_partitioned_equals_shuffled():
 
     shutil.rmtree(PART_DIR, ignore_errors=True)
     man = ingest_partitioned_with_transform(
-        ds, PART_DIR, num_buckets=8, fingerprint_cols=["conv_id", "turn_idx"]
+        ds, PART_DIR, transform=sort_partition, num_buckets=8,
+        fingerprint_cols=["conv_id", "turn_idx"],
     )
     assert len(man) <= 8 and man["rows_in"].sum() == tbl.num_rows
 
+    # default batch_size: one kernel call per partition file
     a = (
-        window_features_partitioned(PART_DIR, metrics=METRICS, assign_turn_idx=False)
+        window_features_streaming(PART_DIR, metrics=METRICS)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx"], kind="mergesort")
         .reset_index(drop=True)
@@ -44,8 +47,8 @@ def test_partitioned_equals_shuffled():
     )
     assert len(a) == len(b) == tbl.num_rows
     # both paths run the same polars kernel: bit-identical, NULLs at the
-    # same rows
-    pd.testing.assert_frame_equal(a[b.columns], b, check_exact=True)
+    # same rows, over every column the streaming job returns
+    pd.testing.assert_frame_equal(a, b[a.columns], check_exact=True)
 
 
 def test_sort_partition_is_stable_and_matches_pandas_mergesort():
