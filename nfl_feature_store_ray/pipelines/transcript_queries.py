@@ -603,54 +603,6 @@ ORACLES = {
 }
 
 
-def q_tumbling(sf_dir: str):
-    """Tumbling windowed aggregate: fixed 6-hour event-time windows per
-    conversation (count, sum, mean) — the windowed-aggregate shape the
-    reference's weekly grain special-cases, generalized to any width."""
-    ts = transcripts_from_events(sf_dir)
-    width_s = 6 * 3600
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # pin to microsecond epoch regardless of the block's datetime unit
-        win = (df["ts"].astype("datetime64[us]").astype("int64") // (width_s * 1_000_000)).astype("int64")
-        # exact integer cents -> order-independent partial sums (QUANT_SCALE);
-        # float cents + min_count keep SQL NULL semantics: NaN skipped by
-        # the sum, an ALL-NULL (conv, win) group stays NaN (SQL SUM ->
-        # NULL) instead of folding to 0
-        df = df.assign(win=win, n=1, vc=np.rint(df["value"].to_numpy() * 100.0))
-        return df.groupby(["conv_id", "win"], as_index=False).agg(
-            n_turns=("n", "sum"), sum_c=("vc", lambda s: s.sum(min_count=1))
-        )
-
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(["conv_id", "win"], as_index=False).agg(
-            n_turns=("n_turns", "sum"), sum_c=("sum_c", lambda s: s.sum(min_count=1))
-        )
-        g["n_turns"] = g["n_turns"].astype("int64")
-        g["mean_value"] = round_half_away(g["sum_c"] / (100.0 * g["n_turns"]), 6)
-        g["sum_value"] = round_half_away(g["sum_c"] / 100.0, 6)
-        return g.drop(columns=["sum_c"])
-
-    partials = ts.map_batches(partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, final, key=["conv_id", "win"], sort_cols=["conv_id", "win"]
-    )
-
-
-# cents-exact sums (see SQL_EXPANDING) so mean ties round identically
-SQL_TUMBLING = f"""{_T}
-SELECT conv_id,
-       CAST(FLOOR(epoch(ts) / 21600) AS BIGINT) AS win,
-       COUNT(*) AS n_turns,
-       ROUND(SUM(ROUND(value * 100)) / 100.0, 6) AS sum_value,
-       ROUND(SUM(ROUND(value * 100)) / (100.0 * COUNT(*)), 6) AS mean_value
-FROM t GROUP BY 1, 2
-"""
-
-QUERIES["w_tumbling"] = q_tumbling
-ORACLES["w_tumbling"] = SQL_TUMBLING
-
-
 def q_lead_label(sf_dir: str):
     """LEAD (next-turn) columns — LABEL construction, not features.
 
@@ -1025,72 +977,6 @@ QUERIES["asof_daily"] = q_asof_daily
 ORACLES["asof_daily"] = SQL_ASOF_DAILY
 
 
-SLIDE_S = 24 * 3600  # sliding event-time window width
-
-
-def q_sliding_window(sf_dir: str):
-    """TIME-RANGE sliding window (vs the row-based W2/W6 frames): at each
-    turn, count and cents-exact sum of the conversation's OTHER turns in
-    the trailing 24h window [t - 24h, t] (equal-ts peers included, self
-    excluded — RANGE-frame semantics). Per bucket this is two vectorized
-    searchsorteds + a cumsum difference per conversation, O(rows)."""
-    ts = transcripts_from_events(sf_dir)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        conv = df["conv_id"]
-        t_us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        vc = np.rint(df["value"].to_numpy() * 100.0)
-        # NO per-conversation loop: rebase timestamps to the bucket minimum
-        # and offset each conversation into its own disjoint band sized to
-        # (observed span + window + 1), then ONE global searchsorted pair +
-        # cumsum difference serves every conversation (a query point can
-        # never cross bands). Band * n_convs stays far inside int64: a
-        # 10-year span is ~2^48 us, leaving room for ~32k convs per bucket;
-        # bucket counts are sized well below that.
-        ca = conv.to_numpy()
-        new = np.concatenate([[True], ca[1:] != ca[:-1]])
-        ordinal = np.cumsum(new) - 1
-        slide_us = SLIDE_S * 1_000_000
-        rel = t_us - t_us.min() if len(t_us) else t_us
-        band = np.int64((int(rel.max()) if len(rel) else 0) + slide_us + 1)
-        assert int(ordinal[-1] if len(ordinal) else 0) * int(band) < (1 << 62), \
-            "sliding-window band overflow: split the bucket (raise num_buckets)"
-        t_adj = ordinal.astype(np.int64) * band + rel
-        # masked prefix sum == SQL SUM's NULL-skip; the self-subtraction
-        # below keeps RAW vc so a NULL current row yields NULL (SQL:
-        # number - NULL), and n_24h is positional (COUNT(*)) either way
-        cum = np.concatenate([[0.0], np.cumsum(np.where(np.isnan(vc), 0.0, vc))])
-        lo = np.searchsorted(t_adj, t_adj - slide_us, side="left")
-        hi = np.searchsorted(t_adj, t_adj, side="right")
-        g = df.groupby("conv_id", sort=False).cumcount()
-        return pd.DataFrame(
-            {
-                "conv_id": conv,
-                "turn_idx": g.astype("int32"),
-                "n_24h": (hi - lo - 1).astype("int64"),
-                "sum_24h": round_half_away((cum[hi] - cum[lo] - vc) / 100.0, 6),
-            }
-        )
-
-    return map_conv_buckets(
-        _prune(ts, ["conv_id", "ts", "_seq", "value"]), bucket_fn,
-        key="conv_id", sort_cols=["conv_id", "ts", "_seq"]
-    )
-
-
-SQL_SLIDING_WINDOW = f"""{_T}
-SELECT conv_id, turn_idx,
-       COUNT(*) OVER w - 1 AS n_24h,
-       ROUND((SUM(ROUND(value * 100)) OVER w - ROUND(value * 100)) / 100.0, 6) AS sum_24h
-FROM t
-WINDOW w AS (PARTITION BY conv_id ORDER BY ts
-             RANGE BETWEEN INTERVAL {SLIDE_S} SECONDS PRECEDING AND CURRENT ROW)
-"""
-
-QUERIES["w_sliding_window"] = q_sliding_window
-ORACLES["w_sliding_window"] = SQL_SLIDING_WINDOW
-
-
 # ---------------------------------------------------------------------------
 # session-level rollup: one row per (conv_id, session_id) — the session
 # feature TABLE (the reference materializes per-entity-epoch tables the
@@ -1162,61 +1048,6 @@ FROM s GROUP BY conv_id, session_id
 
 QUERIES["session_stats"] = q_session_stats
 ORACLES["session_stats"] = SQL_SESSION_STATS
-
-
-# ---------------------------------------------------------------------------
-# trailing-window DISTINCT count: distinct tools used in the prior 24h
-# (RANGE frame incl. ts peers) — the "distinct items in trailing window"
-# feature family (fraud/abuse-style recency features)
-# ---------------------------------------------------------------------------
-SLIDE_DISTINCT_S = 86_400
-
-
-def q_sliding_distinct(sf_dir: str):
-    """Per turn: COUNT(DISTINCT tool) over the conversation's trailing
-    24h RANGE window (inclusive of ts peers, like SQL RANGE ... CURRENT
-    ROW). Vectorized over the BOUNDED tool vocabulary: one ffill pass per
-    tool value (last-occurrence timestamp per row, peer-inclusive via a
-    per-(conv, ts) group max), then a windowed comparison — no per-row
-    or per-window loops."""
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "tool"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        t = g["ts"].astype("datetime64[us]")
-        lo = t - pd.Timedelta(seconds=SLIDE_DISTINCT_S)
-        cnt = np.zeros(len(g), dtype=np.int64)
-        for v in pd.unique(g["tool"].dropna()):
-            # peer-inclusive: a tool occurring at the SAME ts in the same
-            # conversation is inside the RANGE frame even if physically
-            # later — take the per-(conv, ts) any() before the ffill
-            peer_any = (
-                g["tool"].eq(v).groupby([g["conv_id"], t], sort=False).transform("max")
-            )
-            last = t.where(peer_any).groupby(g["conv_id"], sort=False).ffill()
-            cnt += (last.notna() & (last >= lo)).to_numpy()
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "n_distinct_tools_24h": cnt}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_SLIDING_DISTINCT = f"""{_T}
-SELECT conv_id, turn_idx,
-       COUNT(DISTINCT tool) OVER (
-         PARTITION BY conv_id ORDER BY ts
-         RANGE BETWEEN INTERVAL {SLIDE_DISTINCT_S} SECONDS PRECEDING AND CURRENT ROW
-       ) AS n_distinct_tools_24h
-FROM t
-"""
-
-QUERIES["w_sliding_distinct"] = q_sliding_distinct
-ORACLES["w_sliding_distinct"] = SQL_SLIDING_DISTINCT
 
 
 # ---------------------------------------------------------------------------
@@ -1518,79 +1349,6 @@ ORACLES["w_lag_k"] = SQL_LAG_K
 
 
 # ---------------------------------------------------------------------------
-# hopping (sliding-step) event-time windows — the generalization of
-# w_tumbling to overlapping windows: width 6h, hop 2h, so every turn lands
-# in exactly width/hop = 3 windows. The per-batch partial REPLICATES each
-# pre-aggregated (conv, window) contribution once per hop offset (x3 on the
-# tiny partial rows, not the raw stream), then the same one-shuffle spine
-# as w_tumbling merges window totals. Streaming analogue of Flink/Beam
-# hopping windows; exact integer cents throughout.
-# ---------------------------------------------------------------------------
-HOP_S = 2 * 3600
-HOP_WIDTH_S = 6 * 3600
-_HOP_K = HOP_WIDTH_S // HOP_S  # 3 windows per row
-
-
-def q_hopping(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        base = (df["ts"].astype("datetime64[us]").astype("int64")
-                // (HOP_S * 1_000_000)).astype("int64")
-        v = df["value"].to_numpy(dtype="float64")
-        m = ~np.isnan(v)  # NULL-masked cents (r03 ADVICE: NaN->int wraps)
-        d = pd.DataFrame(
-            {"conv_id": df["conv_id"], "m0": base,
-             "vc": np.where(m, np.rint(v * 100.0), 0.0).astype(np.int64),
-             "nn": m.astype(np.int64),
-             "n": np.int64(1)}
-        )
-        # pre-aggregate at the finest hop grain FIRST, then replicate the
-        # small partial rows per offset k (ships 3x partials, not 3x rows)
-        g = d.groupby(["conv_id", "m0"], as_index=False).agg(
-            n=("n", "sum"), c=("vc", "sum"), nn=("nn", "sum"))
-        reps = []
-        for k in range(_HOP_K):
-            r = g.copy()
-            r["m"] = r["m0"] - k
-            reps.append(r)
-        out = pd.concat(reps, ignore_index=True)
-        return out[["conv_id", "m", "n", "c", "nn"]]
-
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(["conv_id", "m"], as_index=False)[["n", "c", "nn"]].sum()
-        cf = np.where(g["nn"].to_numpy() > 0, g["c"].to_numpy(np.float64), np.nan)
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"],
-             "win_start": (g["m"] * HOP_S).astype("int64"),
-             "n_turns": g["n"].astype("int64"),
-             "sum_value": round_half_away(cf / 100.0, 6)}
-        )
-
-    partials = ts.map_batches(partial, batch_format="pandas")
-    return map_conv_buckets(
-        partials, final, key=["conv_id", "m"], sort_cols=["conv_id", "m"]
-    )
-
-
-SQL_HOPPING = f"""{_T},
-r AS (SELECT unnest(range({_HOP_K})) AS k),
-d AS (
-  SELECT conv_id,
-         (CAST(FLOOR(epoch(ts) / {HOP_S}) AS BIGINT) - k) * {HOP_S} AS win_start,
-         ROUND(value * 100) AS vc
-  FROM t, r
-)
-SELECT conv_id, win_start, COUNT(*) AS n_turns,
-       ROUND(SUM(vc) / 100.0, 6) AS sum_value
-FROM d GROUP BY 1, 2
-"""
-
-QUERIES["w_hopping"] = q_hopping
-ORACLES["w_hopping"] = SQL_HOPPING
-
-
-# ---------------------------------------------------------------------------
 # assistant response latency — per non-assistant turn, seconds until the
 # NEXT assistant turn in the same conversation (NULL when none follows):
 # the dialogue-quality metric every conversational corpus pipeline reports.
@@ -1872,83 +1630,6 @@ ORACLES["w_late_events"] = SQL_LATE_EVENTS
 
 
 # ---------------------------------------------------------------------------
-# GROUPS-mode window frame (peer-group-aware rolling): per turn, the
-# cents-exact value sum over the current ts-PEER GROUP and one preceding
-# peer group within the conversation — SQL's `GROUPS BETWEEN 1 PRECEDING
-# AND CURRENT ROW`, the frame mode that differs from ROWS exactly when
-# timestamps tie (every tied row sees its whole peer group). DuckDB has
-# not implemented GROUPS mode, so the oracle is the equivalence rewrite
-# (DENSE_RANK peer index → per-group sums → LAG) — the engine kernel
-# supports the mode natively: one change-flag scan assigns peer indices,
-# two grouped transforms build group sums, all vectorized in the same
-# one-shuffle conversation bucket.
-# ---------------------------------------------------------------------------
-def q_groups_frame(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "value"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        codes = pd.factorize(g["conv_id"])[0]
-        newc = np.concatenate([[True], codes[1:] != codes[:-1]])
-        t = g["ts"].to_numpy()
-        newg = newc | np.concatenate([[True], t[1:] != t[:-1]])
-        gi = pd.Series(newg.astype(np.int64)).groupby(codes, sort=False).cumsum()
-        # NULL-masked cents (r03 ADVICE): an all-NULL peer group's own
-        # grp_sum is NULL in SQL (gc NULL propagates through wc), but its
-        # contribution to the NEXT group is 0 (COALESCE(LAG(gc), 0) — a
-        # masked 0 reproduces that), hence nn per peer group.
-        v = g["value"].to_numpy(dtype="float64")
-        mnn = ~np.isnan(v)
-        xc = np.where(mnn, np.rint(v * 100.0), 0.0).astype(np.int64)
-        d = pd.DataFrame({"c": codes, "gi": gi, "xc": xc,
-                          "nn": mnn.astype(np.int64)})
-        grp = d.groupby(["c", "gi"], sort=False)
-        gc = grp["xc"].transform("sum")
-        gnn = grp["nn"].transform("sum").to_numpy(np.int64)
-        # previous peer group's sum: first-row-of-group lookup shifted one
-        firsts = d.loc[newg, ["c", "gi"]].assign(gc=gc[newg].to_numpy())
-        firsts["prev"] = firsts.groupby("c", sort=False)["gc"].shift().fillna(0)
-        m = d.merge(firsts[["c", "gi", "prev"]], on=["c", "gi"], how="left")
-        total = np.where(
-            gnn > 0,
-            (gc.to_numpy(np.int64) + m["prev"].to_numpy(np.int64)).astype(np.float64),
-            np.nan,
-        )
-        turn_idx = g.groupby("conv_id", sort=False).cumcount().astype("int32")
-        return pd.DataFrame(
-            {"conv_id": g["conv_id"], "turn_idx": turn_idx,
-             "grp_sum": round_half_away(total / 100.0, 6)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_GROUPS_FRAME = f"""{_T},
-g AS (
-  SELECT conv_id, turn_idx, ts, value,
-         DENSE_RANK() OVER (PARTITION BY conv_id ORDER BY ts) AS gi
-  FROM t
-),
-gs AS (
-  SELECT conv_id, gi, SUM(ROUND(value * 100)) AS gc
-  FROM g GROUP BY conv_id, gi
-),
-w AS (
-  SELECT conv_id, gi,
-         gc + COALESCE(LAG(gc) OVER (PARTITION BY conv_id ORDER BY gi), 0) AS wc
-  FROM gs
-)
-SELECT g.conv_id, g.turn_idx, ROUND(w.wc / 100.0, 6) AS grp_sum
-FROM g JOIN w ON g.conv_id = w.conv_id AND g.gi = w.gi
-"""
-
-QUERIES["w_groups_frame"] = q_groups_frame
-ORACLES["w_groups_frame"] = SQL_GROUPS_FRAME
-
-
-# ---------------------------------------------------------------------------
 # Leave-one-out target encoding per (day, role): each turn's encoding is
 # the mean value of all OTHER same-day same-role turns — the classic
 # leakage-safe categorical encoder (plain group-mean encoding leaks the
@@ -2027,81 +1708,6 @@ ORACLES["target_encode"] = SQL_TARGET_ENCODE
 
 
 # ---------------------------------------------------------------------------
-# Trailing 7-day rolling mean over the DENSE day grid — W2 x W4: the
-# reference's weekly trailing form windows generalized to a gap-filled
-# calendar (missing days carry the last observed daily total, so a
-# conversation quiet for three days still decays its trailing mean the
-# way a calendar feature should). Same one-conv-shuffle + in-bucket grid
-# as w_densify; the rolling mean is an exact integer cumsum difference
-# (never pandas rolling().mean(), whose sliding compensation is not
-# reproducible against SQL AVG).
-# ---------------------------------------------------------------------------
-ROLL_GRID_DAYS = 7
-
-
-def q_rolling_grid7(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    def kern(df: pd.DataFrame) -> pd.DataFrame:
-        daily = _daily_cents(df)
-        span = daily.groupby("conv_id")["day"].agg(lo="min", hi="max")
-        g = _dense_day_grid(daily, span["lo"], span["hi"])
-        conv = g["conv_id"]
-        filled = g["day_c"].groupby(conv, sort=False).ffill().to_numpy()
-        m = ~np.isnan(filled)
-        vals = np.where(m, filled, 0.0)
-        ones = m.astype(np.float64)
-        # per-conv trailing-7 sums via cumsum difference (window includes
-        # the current day; NULL cells — only possible while the leading
-        # days are all-NULL — contribute nothing, like SQL AVG)
-        d_ = pd.DataFrame({"v": vals, "n": ones})
-        cs = d_.groupby(conv.to_numpy(), sort=False).cumsum()
-        lag = cs.groupby(conv.to_numpy(), sort=False).shift(ROLL_GRID_DAYS).fillna(0.0)
-        s7 = cs["v"].to_numpy() - lag["v"].to_numpy()
-        n7 = cs["n"].to_numpy() - lag["n"].to_numpy()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(n7 > 0, s7 / (100.0 * n7), np.nan)
-        return pd.DataFrame(
-            {"conv_id": conv, "day": g["day"].astype("datetime64[us]"),
-             "roll7_value": round_half_away(out, 6)}
-        )
-
-    return map_conv_buckets(_prune(ts, ["conv_id", "ts", "_seq", "value"]), kern,
-                            key="conv_id", sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_ROLLING_GRID7 = f"""{_T},
-daily AS (
-  SELECT conv_id, date_trunc('day', ts) AS day, SUM(ROUND(value * 100)) AS day_c
-  FROM t GROUP BY 1, 2
-),
-span AS (SELECT conv_id, min(day) AS lo, max(day) AS hi FROM daily GROUP BY 1),
-grid AS (
-  SELECT conv_id, unnest(generate_series(lo, hi, INTERVAL 1 DAY)) AS day FROM span
-),
-g2 AS (
-  SELECT g.conv_id, g.day, d.day_c
-  FROM grid g LEFT JOIN daily d ON d.conv_id = g.conv_id AND d.day = g.day
-),
-filled AS (
-  SELECT conv_id, day,
-         LAST_VALUE(day_c IGNORE NULLS)
-           OVER (PARTITION BY conv_id ORDER BY day) AS filled_c
-  FROM g2
-)
-SELECT conv_id, day,
-       ROUND(SUM(filled_c) OVER w / (100.0 * COUNT(filled_c) OVER w), 6)
-         AS roll7_value
-FROM filled
-WINDOW w AS (PARTITION BY conv_id ORDER BY day
-             ROWS BETWEEN {ROLL_GRID_DAYS - 1} PRECEDING AND CURRENT ROW)
-"""
-
-QUERIES["w_rolling_grid7"] = q_rolling_grid7
-ORACLES["w_rolling_grid7"] = SQL_ROLLING_GRID7
-
-
-# ---------------------------------------------------------------------------
 # Inter-arrival (burstiness) profile per conversation — the cadence
 # features beside W7's per-turn gap: gap count, exact mean gap, max gap,
 # and how many gaps exceed the session threshold. All integer-microsecond
@@ -2167,63 +1773,6 @@ HAVING COUNT(gap_us) > 0
 
 QUERIES["agg_gap_profile"] = q_gap_profile
 ORACLES["agg_gap_profile"] = SQL_GAP_PROFILE
-
-
-# ---------------------------------------------------------------------------
-# Forward 30-minute window sum/count — the horizon-label sibling of
-# w_sliding_window (a LABEL like w_lead_label / w_response_latency:
-# forward-looking by design, excluded from the leakage contract by name).
-# Same banded searchsorted + cumsum-difference kernel, mirrored forward;
-# NULL-masked prefix sums keep SQL SUM semantics.
-# ---------------------------------------------------------------------------
-FWD_WIN_S = 30 * 60
-
-
-def q_forward_sum_30m(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "value"])
-
-    def kern(df: pd.DataFrame) -> pd.DataFrame:
-        conv = df["conv_id"]
-        t_us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        v = df["value"].to_numpy(dtype="float64")
-        vc = np.rint(v * 100.0)  # NaN kept for the self-subtraction
-        ca = conv.to_numpy()
-        new = np.concatenate([[True], ca[1:] != ca[:-1]])
-        ordinal = np.cumsum(new) - 1
-        win_us = FWD_WIN_S * 1_000_000
-        rel = t_us - t_us.min() if len(t_us) else t_us
-        band = np.int64((int(rel.max()) if len(rel) else 0) + win_us + 1)
-        assert int(ordinal[-1] if len(ordinal) else 0) * int(band) < (1 << 62), \
-            "forward-window band overflow: split the bucket (raise num_buckets)"
-        t_adj = ordinal.astype(np.int64) * band + rel
-        cum = np.concatenate([[0.0], np.cumsum(np.where(np.isnan(vc), 0.0, vc))])
-        lo = np.searchsorted(t_adj, t_adj, side="left")
-        hi = np.searchsorted(t_adj, t_adj + win_us, side="right")
-        g = df.groupby("conv_id", sort=False).cumcount()
-        return pd.DataFrame(
-            {"conv_id": conv,
-             "turn_idx": g.astype("int32"),
-             "n_fwd30": (hi - lo - 1).astype("int64"),
-             "fwd30_sum": round_half_away((cum[hi] - cum[lo] - vc) / 100.0, 6)}
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_FORWARD_SUM_30M = f"""{_T}
-SELECT conv_id, turn_idx,
-       COUNT(*) OVER w - 1 AS n_fwd30,
-       ROUND((SUM(ROUND(value * 100)) OVER w - ROUND(value * 100)) / 100.0, 6)
-         AS fwd30_sum
-FROM t
-WINDOW w AS (PARTITION BY conv_id ORDER BY ts
-             RANGE BETWEEN CURRENT ROW AND INTERVAL {FWD_WIN_S} SECONDS FOLLOWING)
-"""
-
-QUERIES["w_forward_sum_30m"] = q_forward_sum_30m
-ORACLES["w_forward_sum_30m"] = SQL_FORWARD_SUM_30M
 
 
 def q_chained_subrange(sf_dir: str):

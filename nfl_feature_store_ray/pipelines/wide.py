@@ -37,7 +37,7 @@ _T = f"WITH t AS ({TRANSCRIPTS_FROM_EVENTS_SQL})"
 _W = "PARTITION BY conv_id ORDER BY ts, _seq"
 
 
-def wide_features(sf_dir: str, num_buckets: int = 64):
+def wide_features(sf_dir: str):
     """Full wide frame: every WIDE_METRICS column through every window
     family plus per-phase families — 260+ feature columns.
 
@@ -51,7 +51,6 @@ def wide_features(sf_dir: str, num_buckets: int = 64):
         ts,
         metrics=WIDE_METRICS,
         assign_turn_idx=True,
-        num_buckets=num_buckets,
         derive=False,
         phases=WIDE_PHASES,
         pre_kernel=lambda tbl: _derive_wide_batch(_derive_batch(tbl)),

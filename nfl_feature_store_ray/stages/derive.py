@@ -41,7 +41,7 @@ def derive_turn_columns(ds: ray.data.Dataset) -> ray.data.Dataset:
 # per-turn metrics (on top of value/text_len/n_tokens) give the rebuild a
 # 20-metric fan-out; every one is an integer or 2-decimal value so the
 # cents-exact window kernels stay order-independent, and every one has an
-# exact SQL equivalent (pipelines.wide.SQL_WIDE_DERIVE).
+# exact SQL equivalent (the ``d`` CTE of pipelines.wide.SQL_WIDE_SLICE).
 
 WIDE_METRICS = (
     "value", "text_len", "n_tokens", "n_spaces",

@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 from nfl_feature_store_ray.schemas import SESSION_GAP_S
-from nfl_feature_store_ray.stages.bucketize import map_conv_buckets
+from nfl_feature_store_ray.stages.bucketize import exchange, shuffle_buckets
 from nfl_feature_store_ray.state.window_engine import window_features
 
 
@@ -49,23 +51,26 @@ def detect_heavy_keys(
     top: int = 64,
 ) -> dict[str, int]:
     """Exact per-key row counts via partial-count combine; returns the up
-    to ``top`` keys with >= min_rows rows, mapped to dense salt indices."""
+    to ``top`` keys with >= min_rows rows, mapped to dense salt indices
+    (most rows first, ties by key)."""
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(key, as_index=False).size().rename(columns={"size": "n"})
+    def count_rows(batch: pa.Table) -> pa.Table:
+        g = batch.group_by(key).aggregate([([], "count_all")])
+        return pa.table({key: g[key], "n": g["count_all"]})
 
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(key, as_index=False)["n"].sum()
-        return g[g["n"] >= min_rows]
+    def sum_counts(tbl: pa.Table) -> pa.Table:
+        g = tbl.group_by(key).aggregate([("n", "sum")])
+        g = pa.table({key: g[key], "n": g["n_sum"]})
+        return g.filter(pc.greater_equal(g["n"], min_rows))
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    heavy = map_conv_buckets(
-        partials, final, key=key, sort_cols=[key], num_buckets=16
-    ).to_pandas()
-    if heavy.empty:  # no heavy keys: empty blocks may drop the schema
+    partials = ds.map_batches(count_rows, batch_format="pyarrow", batch_size=None)
+    blocks = [b for b in ray.get(
+        exchange(partials, sum_counts, key, shuffle_buckets()).to_arrow_refs()
+    ) if b.num_rows]
+    if not blocks:  # no heavy keys: empty blocks may carry no schema
         return {}
-    heavy = heavy.sort_values("n", ascending=False).head(top)
-    return {k: i for i, k in enumerate(heavy[key])}
+    heavy = pa.concat_tables(blocks).sort_by([("n", "descending"), (key, "ascending")])
+    return {k: i for i, k in enumerate(heavy[key].slice(0, top).to_pylist())}
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +109,6 @@ def _chain_step(carry, los, his, metrics, session_gap_s, phases, tie_col, *block
     column, duplicate ts would make the sub-range order (and thus every
     prefix-dependent feature) vary from run to run, so they are rejected —
     inside the sub-range and against the carried last ts."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from ray.data.block import BlockAccessor
 
     from nfl_feature_store_ray.state.window_kernel_pl import empty_carry, kernel_arrow
@@ -138,9 +141,6 @@ def _with_roles(tbl):
     """Role one-hots only (matching stages.derive dtypes) — the chained
     surface never reads text, so the batch branch shouldn't require
     text-derived columns the caller already pruned away."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     for r in ("user", "assistant", "tool"):
         tbl = tbl.append_column(f"is_{r}", pc.cast(pc.equal(tbl["role"], r), pa.int8()))
     return tbl
@@ -212,9 +212,6 @@ def window_features_chained(
         BOTH branches reach the union with an identical schema (the
         input's plain-string conv_ids pass through the chain, the polars
         batch spine emits large_string)."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
         t = tbl.select(out_cols)
         i = t.schema.get_field_index("conv_id")
         if t.schema.field(i).type != pa.large_string():
@@ -238,9 +235,6 @@ def window_features_chained(
         # Arrow-native filter: keeps the blocks Arrow end-to-end (the
         # heavy branch's sort then shuffles Arrow, not pandas, blocks)
         def f(tbl):
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
             m = pc.is_in(
                 tbl["conv_id"],
                 value_set=pa.array(sorted(heavy),

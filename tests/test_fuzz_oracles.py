@@ -26,17 +26,17 @@ EVENTS_FUZZ_DIR = "/tmp/nfl_fs_fuzz_events_test"
 EVENT_QUERIES = [
     "w_lag_gap", "w_rolling", "w_session_avg", "w_rank_composite",
     "w_densify_seeded", "w_asof_checkpoint", "w_phase_windows", "wide_slice",
-    "w_sliding_window", "w_sliding_distinct", "w_tumbling", "w_label_split",
+    "w_label_split",
     "session_stats", "resume_manifest", "w_rolling_streaming",
     "w_incremental_append", "parse_props", "pair_join", "agg_career",
     "role_transitions",
     "asof_tolerance",
     "w_expanding_distinct", "set_ops_convs", "w_first_value", "w_lag_k",
-    "w_hopping", "w_response_latency",
+    "w_response_latency",
     "agg_tool_set", "w_session_funnel", "split_convs",
-    "w_late_events", "w_groups_frame",
-    "target_encode", "w_rolling_grid7",
-    "agg_gap_profile", "w_forward_sum_30m", "w_chained_subrange",
+    "w_late_events",
+    "target_encode",
+    "agg_gap_profile", "w_chained_subrange",
 ]
 
 
@@ -116,12 +116,11 @@ NULL_EVENTS_FUZZ_DIR = "/tmp/nfl_fs_fuzz_nullval_test"
 
 NULL_VALUE_QUERIES = [
     "w_rank_day", "w_rank_composite",
-    "w_hopping", "w_groups_frame",
     "target_encode", "session_stats", "w_first_value", "w_lag_k",
     # verified NULL-clean by the round-4 full-registry sweep (value NULLs
     # never reach an int cast / their pandas kernels already share SQL's
     # NULL-skip semantics)
-    "w_lag_gap", "w_rolling", "w_sliding_distinct", "w_label_split",
+    "w_lag_gap", "w_rolling", "w_label_split",
     "resume_manifest", "parse_props",
     "role_transitions",
     "w_expanding_distinct", "set_ops_convs",
@@ -130,11 +129,11 @@ NULL_VALUE_QUERIES = [
     "w_late_events",
     # all-NULL-group semantics fixed in round 4 (min_count=1 partials /
     # nn counters; SQL SUM -> NULL preserved through carry/as-of/ranking)
-    "w_tumbling", "w_densify", "w_densify_seeded",
+    "w_densify", "w_densify_seeded",
     "pair_join", "agg_career", "topk_convs",
     "asof_tolerance", "asof_daily",
-    "w_sliding_window", "w_asof_checkpoint", "w_rolling_grid7",
-    "agg_gap_profile", "w_forward_sum_30m",
+    "w_asof_checkpoint",
+    "agg_gap_profile",
     # round 5: the flagship expanding/EWMA/session window kernels now skip
     # NULLs like SQL AVG/SUM (pandas + polars + streaming paths, see
     # PARITY.md "Round-5 NULL-value window semantics")

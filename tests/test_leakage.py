@@ -92,8 +92,11 @@ def test_split_convs_group_integrity(ray_session):
 
 
 def test_prefix_determinism_sliding_and_asof(ray_session, tmp_path):
-    """Trailing-window and as-of backfill operators are strictly backward:
-    prefix truncation preserves every surviving row exactly."""
+    """The as-of backfill is strictly backward: prefix truncation
+    preserves every surviving row's checkpoint exactly. The kernel's own
+    trailing windows (``last_``, ``form_``, ``roll10_``, ``avg_``,
+    ``ewma_``, ``session_``) are checked exactly at two cuts by
+    ``test_prefix_determinism``."""
     import __ray_entry__ as e
 
     rng = np.random.default_rng(77)
@@ -110,17 +113,15 @@ def test_prefix_determinism_sliding_and_asof(ray_session, tmp_path):
     )
     d_full = tmp_path / "f2"; d_full.mkdir()
     ev.to_parquet(d_full / "events.parquet", index=False)
-    for name, valcol in (("w_sliding_window", "sum_24h"),
-                         ("w_asof_checkpoint", "asof_ckpt")):
-        q = e.queries()[name]
-        full = q(str(d_full)).to_pandas()
-        fk = full.set_index(["conv_id", "turn_idx"])[valcol]
-        cut = ev["ts"].sort_values().iloc[int(n * 0.6)]
-        d_cut = tmp_path / f"c_{name}"; d_cut.mkdir()
-        ev[ev["ts"] <= cut].to_parquet(d_cut / "events.parquet", index=False)
-        part = q(str(d_cut)).to_pandas()
-        ref = fk.reindex(pd.MultiIndex.from_frame(part[["conv_id", "turn_idx"]]))
-        np.testing.assert_allclose(
-            part[valcol].to_numpy(float), ref.to_numpy(float),
-            rtol=0, atol=0, equal_nan=True, err_msg=f"{name} leaks",
-        )
+    q = e.queries()["w_asof_checkpoint"]
+    full = q(str(d_full)).to_pandas()
+    fk = full.set_index(["conv_id", "turn_idx"])["asof_ckpt"]
+    cut = ev["ts"].sort_values().iloc[int(n * 0.6)]
+    d_cut = tmp_path / "c"; d_cut.mkdir()
+    ev[ev["ts"] <= cut].to_parquet(d_cut / "events.parquet", index=False)
+    part = q(str(d_cut)).to_pandas()
+    ref = fk.reindex(pd.MultiIndex.from_frame(part[["conv_id", "turn_idx"]]))
+    np.testing.assert_allclose(
+        part["asof_ckpt"].to_numpy(float), ref.to_numpy(float),
+        rtol=0, atol=0, equal_nan=True, err_msg="w_asof_checkpoint leaks",
+    )

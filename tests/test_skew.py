@@ -60,6 +60,31 @@ def test_detect_and_salt_heavy_conversation():
             assert (base[c].astype(str) == salted[c].astype(str)).all(), c
 
 
+def test_detect_heavy_keys_matches_value_counts():
+    """The exact per-key counts over a multi-block input, against pandas'
+    value_counts in the same order (most rows first, ties by key): a
+    ``top`` that cuts through a tie keeps the smallest keys whatever the
+    block order, a ``min_rows`` no key reaches and a 0-row input give {}."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(5)
+    counts = {"c07": 50, "c03": 40, "c11": 40, "c01": 40, "c05": 30, "c02": 9, "c04": 1}
+    keys = rng.permutation(np.repeat(list(counts), list(counts.values())))
+    tbl = pa.table({"conv_id": keys, "value": rng.random(len(keys))})
+    ds = rd.from_arrow([tbl.slice(a, 37) for a in range(0, len(keys), 37)])
+
+    def reference(min_rows, top):
+        vc = pd.Series(keys).value_counts().rename_axis("k").reset_index(name="n")
+        vc = vc[vc["n"] >= min_rows].sort_values(["n", "k"], ascending=[False, True])
+        return {k: i for i, k in enumerate(vc["k"].head(top))}
+
+    for min_rows, top in ((30, 64), (30, 3), (10, 2), (51, 64)):
+        got = detect_heavy_keys(ds, key="conv_id", min_rows=min_rows, top=top)
+        assert got == reference(min_rows, top), (min_rows, top)
+    assert detect_heavy_keys(ds, min_rows=30, top=3) == {"c07": 0, "c01": 1, "c03": 2}
+    assert detect_heavy_keys(rd.from_arrow(tbl.slice(0, 0)), min_rows=1) == {}
+
+
 # ---------------------------------------------------------------------------
 # Round 5: sub-range chaining for conversations larger than one worker heap
 # ---------------------------------------------------------------------------
