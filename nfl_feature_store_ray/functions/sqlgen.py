@@ -31,7 +31,6 @@ def ewma_closed_ctes(
     out_rel: str,
     out_col: str,
     alpha: float,
-    seg: int = EWMA_SEG,
 ) -> str:
     """CTE chain computing the INCLUSIVE adjust=False EWMA of ``val_expr``
     over ``part_cols`` ordered by the dense 0-based index column ``idx``
@@ -41,9 +40,9 @@ def ewma_closed_ctes(
     b = 1.0 - alpha
     P = ", ".join(part_cols)
     return f"""__s_{out_rel} AS (
-  SELECT {P}, {idx} AS __i, ({idx}) // {seg} AS __seg, ({idx}) % {seg} AS __j,
+  SELECT {P}, {idx} AS __i, ({idx}) // {EWMA_SEG} AS __seg, ({idx}) % {EWMA_SEG} AS __j,
          (CASE WHEN {idx} = 0 THEN {val_expr} ELSE ({val_expr}) * {alpha!r} END)
-           / POWER({b!r}, ({idx}) % {seg}) AS __w
+           / POWER({b!r}, ({idx}) % {EWMA_SEG}) AS __w
   FROM {src}
 ),
 __c_{out_rel} AS (
@@ -58,7 +57,7 @@ __e_{out_rel} AS (
 __r_{out_rel} AS (
   SELECT {P}, __seg,
          COALESCE(LAG(__eC) OVER (PARTITION BY {P} ORDER BY __seg), 0)
-         + POWER({b!r}, {seg})
+         + POWER({b!r}, {EWMA_SEG})
            * COALESCE(LAG(__eC, 2) OVER (PARTITION BY {P} ORDER BY __seg), 0) AS __cv
   FROM __e_{out_rel}
 ),

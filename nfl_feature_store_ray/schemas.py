@@ -36,8 +36,9 @@ QUANT_SCALE = 100.0
 # Modulus of the PERSISTED bucketed layout (state.manifest.partitioned_commit
 # and the with_bucket / map_conv_buckets defaults): a stored layout is
 # re-committed and refreshed by this count, so it does not follow the
-# cluster. In-flight shuffles (window_features, asof_join) size themselves
-# from the cluster instead: 2 x CPUs buckets (stages.bucketize.shuffle_buckets).
+# cluster. In-flight shuffles (window_features, and asof_join when its left
+# side is too large to broadcast) size themselves from the cluster instead:
+# 2 x CPUs buckets (stages.bucketize.shuffle_buckets).
 # Each bucket must fit in a worker's heap (buckets hold whole conversations,
 # never split ones).
 DEFAULT_NUM_BUCKETS = 64

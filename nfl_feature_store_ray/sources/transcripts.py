@@ -42,6 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from nfl_feature_store_ray.schemas import SESSION_GAP_S
 from nfl_feature_store_ray.sources.readers import read_table
 
 # event_type -> role mapping (must match the oracle SQL CASE expression).
@@ -127,8 +128,6 @@ def generate_transcripts(
     n_convs: int = 200,
     mean_turns: int = 50,
     seed: int = 7,
-    start_us: int = 1_700_000_000_000_000,
-    session_gap_s: int = 86_400,
 ) -> pa.Table:
     """Deterministic synthetic transcript table (Arrow).
 
@@ -153,11 +152,11 @@ def generate_transcripts(
         # gap mixture: mostly short, some > session threshold
         gaps = np.where(
             rng.random(n) < 0.12,
-            rng.integers(session_gap_s + 1, session_gap_s * 3, n),
+            rng.integers(SESSION_GAP_S + 1, SESSION_GAP_S * 3, n),
             rng.integers(1, 600, n),
         ).astype(np.int64)
         gaps[0] = 0
-        t0 = start_us + int(rng.integers(0, 10**9))
+        t0 = 1_700_000_000_000_000 + int(rng.integers(0, 10**9))
         t = t0 + np.cumsum(gaps * 1_000_000)
         role_draw = rng.random(n)
         for i in range(n):

@@ -1,8 +1,8 @@
 """The partition spine: hash-bucket conversations, process whole buckets.
 
 This is the rebuild's ONE required shuffle (SURVEY §7.1 step 3). Every
-window / sessionize / as-of operator and the partition commit ride on
-``exchange``:
+window / sessionize operator, the partition commit and an as-of join
+whose left side is too large to broadcast ride on ``exchange``:
 
     ds -> exchange_input(key)           # deterministic hash(conv_id) % B,
                                         # plus a sentinel row per range
@@ -31,9 +31,12 @@ read's: ``sources.read_table`` reads one block per file (more only to
 occupy idle CPUs), and an unsplit read fuses with the maps after it,
 which on one CPU makes read -> transcript map -> ``exchange_input`` one
 task per file and hands each reduce block over as one chunk.
-``asof_join``, whose callers read in any split, coalesces its tagged
-union to B blocks first, with ``Dataset.repartition(B)``, no row
-shuffle. Sentinel rows give every
+``asof_join``'s exchange path, whose callers read in any split,
+coalesces its tagged union to B blocks first, with
+``Dataset.repartition(B)``, no row shuffle; its broadcast path (a left
+side with left x B within Ray's ``target_max_block_size``) coalesces
+the right side to B blocks the same way and never calls ``exchange``.
+Sentinel rows give every
 range rows, so a range without data still hands ``fn`` a typed empty
 table instead of Ray's schema-less one. The PERSISTED layout
 (``state.manifest.partitioned_commit``) stays at
@@ -250,7 +253,6 @@ def map_conv_buckets(
     key: str | list[str] = "conv_id",
     sort_cols: list[str] | None = None,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
-    heavy_keys: dict | None = None,
 ) -> ray.data.Dataset:
     """Hash-partition on ``key``; run ``fn`` once per sorted bucket.
 
@@ -270,5 +272,5 @@ def map_conv_buckets(
         g = g.drop(columns=[BUCKET_COL])
         return fn(g)
 
-    bucketed = with_bucket(ds, key=key, num_buckets=num_buckets, heavy_keys=heavy_keys)
+    bucketed = with_bucket(ds, key=key, num_buckets=num_buckets)
     return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format="pandas")

@@ -39,7 +39,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from nfl_feature_store_ray.schemas import SESSION_GAP_S
 from nfl_feature_store_ray.stages.bucketize import exchange, shuffle_buckets
 from nfl_feature_store_ray.state.window_engine import window_features
 
@@ -102,7 +101,7 @@ def _probe_runs(block) -> pd.DataFrame:
 
 
 @ray.remote(num_returns=2)
-def _chain_step(carry, los, his, metrics, session_gap_s, phases, tie_col, *blocks):
+def _chain_step(carry, los, his, metrics, phases, tie_col, *blocks):
     """ONE bounded sub-range of one conversation: slice the listed Arrow
     blocks to [lo, hi), run the window kernel seeded with the carried
     per-conversation state, return (features, carry-out). Without a tie
@@ -132,8 +131,8 @@ def _chain_step(carry, los, his, metrics, session_gap_s, phases, tie_col, *block
                 "tie_col=None: the row order is ambiguous; pass a tie column"
             )
     return kernel_arrow(
-        _with_roles(tbl), metrics=metrics, session_gap_s=session_gap_s,
-        assign_turn_idx=True, sort=False, phases=phases, carry=carry,
+        _with_roles(tbl), metrics=metrics, assign_turn_idx=True, sort=False,
+        phases=phases, carry=carry,
     )
 
 
@@ -149,7 +148,6 @@ def _with_roles(tbl):
 def window_features_chained(
     ds: ray.data.Dataset,
     metrics: tuple[str, ...] = ("value",),
-    session_gap_s: int = SESSION_GAP_S,
     num_buckets: int | None = None,
     heavy_keys: dict | None = None,
     min_rows: int = 1_000_000,
@@ -221,9 +219,8 @@ def window_features_chained(
 
     if not heavy_keys:
         feats = window_features(
-            ds, metrics=metrics, session_gap_s=session_gap_s,
-            num_buckets=num_buckets, assign_turn_idx=True, phases=phases,
-            derive=False, pre_kernel=_with_roles,
+            ds, metrics=metrics, num_buckets=num_buckets, assign_turn_idx=True,
+            phases=phases, derive=False, pre_kernel=_with_roles,
         )
         return feats.map_batches(_select, batch_format="pyarrow",
                                  zero_copy_batch=True)
@@ -247,9 +244,8 @@ def window_features_chained(
     normal_feats = window_features(
         ds.map_batches(_split(False), batch_format="pyarrow",
                        zero_copy_batch=True),
-        metrics=metrics, session_gap_s=session_gap_s,
-        num_buckets=num_buckets, assign_turn_idx=True, phases=phases,
-        derive=False, pre_kernel=_with_roles,
+        metrics=metrics, num_buckets=num_buckets, assign_turn_idx=True,
+        phases=phases, derive=False, pre_kernel=_with_roles,
     ).map_batches(_select, batch_format="pyarrow", zero_copy_batch=True)
 
     # --- heavy path: prune -> distributed sort -> ordered block refs ----
@@ -303,7 +299,7 @@ def window_features_chained(
         for a in range(g0, g1, sub_range_rows):
             refs, los, his = _pieces(a, min(a + sub_range_rows, g1))
             out_ref, carry = _chain_step.remote(
-                carry, los, his, metrics, session_gap_s, phases, tie_col, *refs
+                carry, los, his, metrics, phases, tie_col, *refs
             )
             out_refs.append(out_ref)
 

@@ -1,13 +1,45 @@
 """As-of join: strict t' < t semantics vs pandas merge_asof oracle."""
 
+import contextlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
+from ray.data import DataContext
 
 from nfl_feature_store_ray.stages.bucketize import shuffle_buckets
 from nfl_feature_store_ray.state.asof import asof_join
+
+# Ray's block budget under which every left side in this module takes the
+# exchange path (the smallest left x buckets here is ~57 KB: 7 KB x 8), and
+# under which Ray splits none of the blocks (it splits from 1.5 x the budget)
+EXCHANGE_BLOCK_LIMIT = 32 * 1024
+
+
+@contextlib.contextmanager
+def block_limit(limit: int | None):
+    """Run with Ray's ``target_max_block_size`` at ``limit`` (unchanged
+    when None), restored afterwards."""
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    if limit is not None:
+        ctx.target_max_block_size = limit
+    try:
+        yield
+    finally:
+        ctx.target_max_block_size = saved
+
+
+@pytest.fixture(autouse=True, params=["broadcast", "exchange"])
+def asof_path(request):
+    """Every test runs on both paths of ``asof_join``: the small left sides
+    here broadcast at Ray's default block budget, and take the exchange
+    under ``EXCHANGE_BLOCK_LIMIT``."""
+    with block_limit(EXCHANGE_BLOCK_LIMIT if request.param == "exchange" else None):
+        yield request.param
 
 
 def _frames():
@@ -216,3 +248,40 @@ def test_asof_exchange_is_as_wide_as_the_buckets():
     assert out.num_blocks() <= buckets
     explicit = asof_join(rd.from_pandas(events), right, num_buckets=64)
     assert rows(out).equals(rows(explicit))
+
+
+def _arrow(df: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def test_asof_empty_sides():
+    """An empty left gives a typed empty output; an empty right gives every
+    left row with typed null right columns."""
+    events, feats = _frames()
+    left, right = _arrow(events), _arrow(feats)
+    schema = pa.schema([
+        ("conv_id", pa.string()), ("ts", left.schema.field("ts").type),
+        ("ev", pa.int64()), ("feat", pa.float64()),
+    ])
+    empty = asof_join(rd.from_arrow(left.slice(0, 0)), rd.from_arrow(right)).materialize()
+    assert empty.count() == 0
+    assert {b.schema for b in ray.get(empty.to_arrow_refs())} == {schema}
+    out = pa.concat_tables(_blocks(asof_join(rd.from_arrow(left), rd.from_arrow(right.slice(0, 0)))))
+    assert out.schema == schema
+    assert out.num_rows == out.column("feat").null_count == left.num_rows
+    assert out.select(["conv_id", "ts", "ev"]).sort_by(
+        [(c, "ascending") for c in ("conv_id", "ts", "ev")]
+    ).equals(left.sort_by([(c, "ascending") for c in ("conv_id", "ts", "ev")]))
+
+
+def test_asof_plan_shape(asof_path):
+    """The broadcast path shuffles nothing and merges in one task; the
+    exchange path keeps its sort."""
+    events, feats = _frames()
+    right = rd.from_arrow(_arrow(feats)).repartition(4).materialize()
+    stats = asof_join(rd.from_pandas(events), right).materialize().stats()
+    if asof_path == "broadcast":
+        assert "Sort" not in stats
+        assert "MapBatches(merge_bucket): 1 tasks executed" in stats
+    else:
+        assert "Sort" in stats
