@@ -36,14 +36,12 @@ def ingest_partitioned_with_transform(
     ds: ray.data.Dataset,
     out_dir: str,
     transform=None,
-    key: str = "conv_id",
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     fingerprint_cols: list[str] | None = None,
 ) -> pd.DataFrame:
     return write_partitioned(
         ds,
         out_dir,
-        key=key,
         num_buckets=num_buckets,
         transform=transform,
         fingerprint_cols=fingerprint_cols,

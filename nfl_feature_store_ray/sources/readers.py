@@ -52,7 +52,10 @@ def read_table(
     exchange map side as one task per file. A file larger than
     ``DataContext.target_max_block_size`` still comes out in several
     blocks: the read task cuts its own output, which does not block
-    fusion."""
+    fusion. On one CPU a one-file read is one block, so
+    ``stages.bucketize.exchange`` runs whole inside the read task, with no
+    sort (its docstring says when and why); that path also stops the read
+    task cutting its output, which would split buckets over calls."""
     path = os.path.join(sf_dir, f"{name}.parquet")
     kwargs.setdefault("override_num_blocks", max(_file_count(path), cluster_cpus()))
     return ray.data.read_parquet(path, columns=columns, **kwargs)

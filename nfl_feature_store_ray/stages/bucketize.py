@@ -11,6 +11,18 @@ whose left side is too large to broadcast ride on ``exchange``:
                                         # as one Arrow table and runs
                                         # VECTORIZED group kernels
 
+One task on one CPU. When the cluster has one CPU and Ray's plan says
+the input is one block whose source fits in ``target_max_block_size``,
+the sort moves nothing (one map block, no second CPU to reduce on) yet
+costs a barrier, its map and reduce tasks and two object-store round trips
+of the input. ``exchange`` then skips it: a ``map_batches`` that Ray fuses
+into the task that makes the block hashes it, orders it by bucket with one
+stable argsort and one ``take``, and calls ``fn`` once per range on the
+tables the sort would have handed it. On one-file inputs, read ->
+transcript map -> bucketing -> kernel (or commit) is then one task. Any
+other input (more CPUs, more blocks, no or too large a size estimate, or
+``key=None``) takes the sort.
+
 Why buckets instead of `groupby(conv_id).map_groups(per_conv_fn)`: at
 10^12 turns there are ~10^9 conversations; per-group Python dispatch would
 be the bottleneck. Bucketing gives B tasks, each processing thousands of
@@ -30,7 +42,7 @@ the sort's map) stays one task per input block, so its width is the
 read's: ``sources.read_table`` reads one block per file (more only to
 occupy idle CPUs), and an unsplit read fuses with the maps after it,
 which on one CPU makes read -> transcript map -> ``exchange_input`` one
-task per file and hands each reduce block over as one chunk.
+task per file (for one file, the one-task exchange above).
 ``asof_join``'s exchange path, whose callers read in any split,
 coalesces its tagged union to B blocks first, with
 ``Dataset.repartition(B)``, no row shuffle; its broadcast path (a left
@@ -78,6 +90,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
+from ray.data import DataContext
+from ray.data._internal.logical.operators.read_operator import Read
 
 from nfl_feature_store_ray.schemas import DEFAULT_NUM_BUCKETS
 
@@ -198,6 +212,38 @@ def exchange_input(
     return ds.map_batches(add, batch_format="pyarrow")
 
 
+def plan_estimate(ds: ray.data.Dataset) -> tuple[int | None, int | None]:
+    """Ray's estimate of ``ds`` before it runs: its block count, and the
+    size in bytes of the plan's one source operator (None when Ray has no
+    estimate or the plan has several sources). The count is None when the
+    plan reads without ``override_num_blocks=1``: Ray then picks the read's
+    block count at run time and may cut one read task's output into
+    several blocks (``ReadParquet->SplitBlocks(2)`` for a bare
+    ``read_parquet`` of one small file on one CPU), more than the plan
+    says. These are the Ray internals the exchange reads
+    (``Dataset._plan``, ``Dataset._logical_plan`` and the read operator's
+    requested block count); ``tests/test_exchange.py`` pins what they
+    return, so a Ray upgrade that moves them fails a test instead of
+    quietly changing the exchange's path."""
+    sources = ds._logical_plan.sources()
+    size = sources[0].infer_metadata().size_bytes if len(sources) == 1 else None
+    if any(isinstance(s, Read) and s._parallelism != 1 for s in sources):
+        return None, size
+    return ds._plan.initial_num_blocks(), size
+
+
+def _one_task(ds: ray.data.Dataset, key: str | list[str] | None) -> bool:
+    """``exchange``'s rule for bucketing inside the one task that makes
+    the input: a key to hash, one CPU, and a plan of one block whose
+    source fits in Ray's ``target_max_block_size`` (the broadcast as-of
+    join's bound)."""
+    if key is None or cluster_cpus() != 1:
+        return False
+    blocks, size = plan_estimate(ds)
+    limit = DataContext.get_current().target_max_block_size
+    return blocks == 1 and size is not None and (limit is None or size <= limit)
+
+
 def exchange(
     ds: ray.data.Dataset,
     fn: Callable[[pa.Table], pa.Table],
@@ -221,8 +267,43 @@ def exchange(
     The exchange is Ray's sort on the bucket key with the range starts as
     explicit boundaries: that skips the sampling pass and makes the
     exchange exactly as wide as the ranges, whatever the input's block
-    count, and each reduce block is handed to ``fn`` whole."""
-    bounds = [2 * s for s in _range_starts(num_buckets, tasks, len(heavy_keys or ()))]
+    count, and each reduce block is handed to ``fn`` whole.
+
+    One task, no sort, when a key is given, the cluster has one CPU, and
+    Ray's plan says ``ds`` is one block whose source fits in
+    ``target_max_block_size`` (``plan_estimate``; a read counts only if
+    it asks for one block). There the sort moves nothing: one map block
+    and no second CPU to reduce on, yet it costs a barrier, its map and
+    reduce tasks and two object-store round trips of the input. Instead a
+    ``map_batches`` (which Ray fuses into the read task) buckets the
+    block with one stable argsort and one ``take``, and calls ``fn`` once
+    per range on the same tables the sort would hand it. The returned
+    dataset's own context drops ``target_max_block_size``, so the read
+    that feeds it cannot cut its output into blocks that would split a
+    bucket over two calls; operators chained on it inherit that."""
+    starts = _range_starts(num_buckets, tasks, len(heavy_keys or ()))
+    if _one_task(ds, key):
+        def run(block: pa.Table):
+            ids = _bucket_ids(block, key, num_buckets, heavy_keys)
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            block = block.drop_columns(
+                [c for c in (BUCKET_COL, _EXCHANGE_KEY) if c in block.column_names]
+            )
+            block = block.take(order).append_column(BUCKET_COL, pa.array(ids, pa.int32()))
+            cuts = [0, *np.searchsorted(ids, starts).tolist(), len(ids)]
+            for a, b in zip(cuts, cuts[1:]):
+                yield fn(block.slice(a, b - a))
+
+        run.__name__ = fn.__name__
+        # a map shares its context with ``ds``: change a copy, so the
+        # caller's dataset keeps its block limit
+        out = ray.data.Dataset.copy(
+            ds.map_batches(run, batch_format="pyarrow", batch_size=None), _deep_copy=True
+        )
+        out.context.target_max_block_size = None
+        return out
+
     if key is not None:
         ds = exchange_input(ds, key, num_buckets, heavy_keys, tasks)
 
@@ -242,7 +323,7 @@ def exchange(
         yield fn(block.combine_chunks())
 
     run.__name__ = fn.__name__  # Ray names the operator MapBatches(<fn>)
-    return ds.sort(_EXCHANGE_KEY, boundaries=bounds).map_batches(
+    return ds.sort(_EXCHANGE_KEY, boundaries=[2 * s for s in starts]).map_batches(
         run, batch_format="pyarrow", batch_size=None
     )
 

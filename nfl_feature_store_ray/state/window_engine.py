@@ -5,7 +5,10 @@ one bucket per task, as many tasks wide as there are buckets whatever
 the input's block count), then one window kernel call
 (``state.window_kernel_pl.kernel_arrow``, which documents every window
 family and the null and leakage contracts) per bucket of whole
-conversations, Arrow in and Arrow out. The kernel runs each bucket as one
+conversations, Arrow in and Arrow out. On one CPU a one-block input (a
+one-file read) skips the sort: the read task itself buckets its block and
+makes the kernel calls, since a sort there would move nothing and cost a
+barrier and two extra tasks. The kernel runs each bucket as one
 polars plan of whole-frame scans that restart at conversation starts, so
 its output for a conversation does not depend on which other
 conversations share the bucket: any bucket count gives the same bytes.

@@ -40,7 +40,9 @@ def test_bucket_of_golden():
     assert bucket_of(pd.DataFrame({"a": ["x", "y"], "b": [1, 2]}), 8).tolist() == [3, 0]
 
 
-def test_invariant_to_partitioning_and_order():
+def test_invariant_to_partitioning_and_order(exchange_path):
+    """On both exchange paths: one-block inputs take the one-task path
+    when it is on, the 13-block input always sorts."""
     tbl = generate_transcripts(n_convs=40, mean_turns=10, seed=31)
 
     base = _canon(

@@ -85,6 +85,20 @@ def test_detect_heavy_keys_matches_value_counts():
     assert detect_heavy_keys(rd.from_arrow(tbl.slice(0, 0)), min_rows=1) == {}
 
 
+def test_detect_heavy_keys_on_a_one_block_input(exchange_path):
+    """A one-block input on both exchange paths (Ray's sort, and the one
+    task that buckets the block itself on one CPU) finds the same keys,
+    in the same order, as the multi-block input above."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(5)
+    counts = {"c07": 50, "c03": 40, "c11": 40, "c01": 40, "c05": 30, "c02": 9}
+    keys = rng.permutation(np.repeat(list(counts), list(counts.values())))
+    ds = rd.from_arrow(pa.table({"conv_id": keys}))
+    assert detect_heavy_keys(ds, min_rows=30, top=3) == {"c07": 0, "c01": 1, "c03": 2}
+    assert detect_heavy_keys(ds, min_rows=51) == {}
+
+
 # ---------------------------------------------------------------------------
 # Round 5: sub-range chaining for conversations larger than one worker heap
 # ---------------------------------------------------------------------------

@@ -89,14 +89,21 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 from nfl_feature_store_ray.sources import transcripts_from_events
 from nfl_feature_store_ray.state import window_features
+from nfl_feature_store_ray.state.manifest import partitioned_commit
 one = transcripts_from_events({one!r}).materialize()
 assert one.num_blocks() == 1, one.num_blocks()
 three = transcripts_from_events({three!r}).materialize()
 assert three.num_blocks() == 3, three.num_blocks()
+read = "ReadParquet->MapBatches(_events_to_transcript_batch)"
 feats = window_features(transcripts_from_events({one!r}), assign_turn_idx=True).materialize()
 stats = feats.stats()
-fused = "ReadParquet->MapBatches(_events_to_transcript_batch)->MapBatches(add)"
-assert fused + ": 1 tasks executed" in stats, stats
+assert read + "->MapBatches(kern): 1 tasks executed" in stats, stats
+assert "Sort" not in stats, stats
+stats = window_features(transcripts_from_events({three!r})).materialize().stats()
+assert "Sort" in stats, stats
+stats = partitioned_commit(transcripts_from_events({one!r}), {parts!r}).materialize().stats()
+assert read + "->MapBatches(commit): 1 tasks executed" in stats, stats
+assert "Sort" not in stats, stats
 blocks = list(feats.iter_batches(batch_size=None, batch_format="pyarrow"))
 pq.write_table(pa.concat_tables(blocks), {out!r})
 ray.shutdown()
@@ -104,9 +111,11 @@ ray.shutdown()
 
 
 def test_read_fuses_with_the_maps_on_one_cpu(tmp_path):
-    """On one CPU the read makes one block per file, so Ray fuses read,
-    transcript map and the exchange's map side into one task per file;
-    ``window_features`` then equals this 4-CPU session's output."""
+    """On one CPU the read makes one block per file. A one-file input then
+    runs read, transcript map and the whole exchange (bucketing and the
+    kernel, or the partition commit) as one task with no ``Sort``; a
+    three-file input keeps the sort. ``window_features`` equals this 4-CPU
+    session's output, which went through the sort."""
     import pandas as pd
     import pyarrow.parquet as pq
 
@@ -117,7 +126,8 @@ def test_read_fuses_with_the_maps_on_one_cpu(tmp_path):
     one = _events_dir(tmp_path / "one", 1)
     three = _events_dir(tmp_path / "three", 3)
     out = str(tmp_path / "feats.parquet")
-    run_one_cpu(ONE_CPU_READ.format(one=one, three=three, out=out), "one-file read")
+    parts = str(tmp_path / "parts")
+    run_one_cpu(ONE_CPU_READ.format(one=one, three=three, out=out, parts=parts), "one-file read")
 
     keys = ["conv_id", "turn_idx"]
     got = pq.read_table(out).to_pandas().sort_values(keys).reset_index(drop=True)
