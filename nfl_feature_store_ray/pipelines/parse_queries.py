@@ -91,49 +91,12 @@ FROM t
 """
 
 
-def q_coalesce(sf_dir: str):
-    """M10: coalesce fallback chains (reference name/team coalescing,
-    `player_game.py` display-name fallbacks): first non-null of
-    (tool, role-derived default), and empty text falls back to a
-    placeholder — one pyarrow coalesce/if_else kernel per batch."""
-    ts = transcripts_from_events(sf_dir)
-
-    def fallback(batch: pa.Table) -> pa.Table:
-        tool = batch["tool"]
-        role = batch["role"]
-        text = batch["text"]
-        tool_name = pc.coalesce(tool, pc.binary_join_element_wise(role, "", "_default"))
-        text_filled = pc.if_else(
-            pc.equal(pc.coalesce(text, ""), ""), pa.scalar("<empty>"), text
-        )
-        return pa.table(
-            {
-                "conv_id": batch["conv_id"],
-                "_seq": batch["_seq"],
-                "tool_name": tool_name,
-                "text_filled": text_filled,
-            }
-        )
-
-    return ts.map_batches(fallback, batch_format="pyarrow", zero_copy_batch=True)
-
-
-SQL_COALESCE = f"""{_T}
-SELECT conv_id, _seq,
-       COALESCE(tool, role || '_default') AS tool_name,
-       CASE WHEN COALESCE(text, '') = '' THEN '<empty>' ELSE text END AS text_filled
-FROM t
-"""
-
-
 QUERIES = {
     "parse_props": q_parse_props,
     "success_points": q_success_points,
-    "coalesce_fallbacks": q_coalesce,
 }
 
 ORACLES = {
     "parse_props": SQL_PARSE_PROPS,
     "success_points": SQL_SUCCESS_POINTS,
-    "coalesce_fallbacks": SQL_COALESCE,
 }

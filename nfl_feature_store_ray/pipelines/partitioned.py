@@ -37,14 +37,9 @@ def ingest_partitioned_with_transform(
     out_dir: str,
     transform=None,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
-    fingerprint_cols: list[str] | None = None,
 ) -> pd.DataFrame:
     return write_partitioned(
-        ds,
-        out_dir,
-        num_buckets=num_buckets,
-        transform=transform,
-        fingerprint_cols=fingerprint_cols,
+        ds, out_dir, num_buckets=num_buckets, transform=transform
     )
 
 

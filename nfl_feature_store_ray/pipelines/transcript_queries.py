@@ -978,118 +978,6 @@ ORACLES["asof_daily"] = SQL_ASOF_DAILY
 
 
 # ---------------------------------------------------------------------------
-# session-level rollup: one row per (conv_id, session_id) — the session
-# feature TABLE (the reference materializes per-entity-epoch tables the
-# same way; ref feature_store_runner.py:39-55 store shape)
-# ---------------------------------------------------------------------------
-def q_session_stats(sf_dir: str):
-    """Per-session aggregates over the engine's sessionization: turn count,
-    wall duration, tool-turn count, cents-exact mean value. One conv_id
-    bucket shuffle; sessionization + rollup run vectorized in-bucket."""
-    from nfl_feature_store_ray.schemas import QUANT_SCALE, SESSION_GAP_S
-
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "role", "value"])
-
-    def rollup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        gap = g.groupby("conv_id")["ts"].diff().dt.total_seconds()
-        g["session_id"] = (
-            (gap > SESSION_GAP_S).fillna(False).astype("int32")
-            .groupby(g["conv_id"]).cumsum()
-        )
-        # float cents: NaN values are skipped by the sum like SQL SUM, and
-        # min_count=1 keeps an all-NULL session's avg NULL (not 0)
-        g["_c"] = np.rint(g["value"].to_numpy(dtype="float64") * QUANT_SCALE)
-        g["_tool"] = (g["role"] == "tool").astype("int64")
-        out = g.groupby(["conv_id", "session_id"], as_index=False).agg(
-            n_turns=("value", "size"),
-            t0=("ts", "min"),
-            t1=("ts", "max"),
-            n_tool=("_tool", "sum"),
-            _cs=("_c", lambda s: s.sum(min_count=1)),
-        )
-        out["duration_s"] = round_half_away(
-            (out["t1"] - out["t0"]).dt.total_seconds().astype("float64"), 6
-        )
-        out["avg_value"] = round_half_away(
-            out["_cs"].to_numpy(dtype="float64")
-            / (QUANT_SCALE * out["n_turns"].to_numpy(dtype="float64")), 6
-        )
-        out["session_id"] = out["session_id"].astype("int32")
-        out["n_turns"] = out["n_turns"].astype("int64")
-        out["n_tool"] = out["n_tool"].astype("int64")
-        return out[["conv_id", "session_id", "n_turns", "duration_s", "n_tool",
-                    "avg_value"]]
-
-    return map_conv_buckets(pruned, rollup, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_SESSION_STATS = f"""{_T},
-g AS (
-  SELECT conv_id, ts, _seq, value, role,
-         CASE WHEN epoch(ts - LAG(ts) OVER ({_W})) > {SESSION_GAP_S}
-              THEN 1 ELSE 0 END AS brk
-  FROM t
-),
-s AS (
-  SELECT conv_id, ts, value, role,
-         CAST(SUM(brk) OVER ({_W}) AS INTEGER) AS session_id
-  FROM g
-)
-SELECT conv_id, session_id,
-       COUNT(*) AS n_turns,
-       ROUND(CAST(epoch(MAX(ts) - MIN(ts)) AS DOUBLE), 6) AS duration_s,
-       CAST(SUM(CASE WHEN role = 'tool' THEN 1 ELSE 0 END) AS BIGINT) AS n_tool,
-       ROUND(SUM(ROUND(value * 100)) / (100.0 * COUNT(*)), 6) AS avg_value
-FROM s GROUP BY conv_id, session_id
-"""
-
-QUERIES["session_stats"] = q_session_stats
-ORACLES["session_stats"] = SQL_SESSION_STATS
-
-
-# ---------------------------------------------------------------------------
-# conversation role-transition matrix — corpus-wide counts of (prev_role,
-# role) bigrams (never across conversation boundaries): the Markov-chain
-# summary of dialogue structure (how often does user->tool happen, etc.)
-# ---------------------------------------------------------------------------
-def q_role_transitions(sf_dir: str):
-    """Global (prev_role -> role) transition counts. Lag computed inside
-    the conversation buckets (vectorized shift + boundary mask), each
-    bucket emits at most |roles|² partial rows, tiny driver merge —
-    the full corpus never leaves the buckets."""
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "role"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        prev = g["role"].shift(1).where(g["conv_id"].eq(g["conv_id"].shift(1)))
-        d = pd.DataFrame({"prev_role": prev, "role": g["role"]}).dropna(subset=["prev_role"])
-        return d.groupby(["prev_role", "role"], as_index=False).size().rename(
-            columns={"size": "n"}
-        )
-
-    parts = map_conv_buckets(pruned, kern, key="conv_id",
-                             sort_cols=["conv_id", "ts", "_seq"]).to_pandas()
-    out = parts.groupby(["prev_role", "role"], as_index=False)["n"].sum()
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
-SQL_ROLE_TRANSITIONS = f"""{_T},
-l AS (SELECT role, LAG(role) OVER ({_W}) AS prev_role FROM t)
-SELECT prev_role, role, COUNT(*) AS n
-FROM l WHERE prev_role IS NOT NULL
-GROUP BY prev_role, role
-"""
-
-QUERIES["role_transitions"] = q_role_transitions
-ORACLES["role_transitions"] = SQL_ROLE_TRANSITIONS
-
-
-# ---------------------------------------------------------------------------
 # Toleranced as-of join: same sides as asof_daily, but a match only counts
 # if the day summary closed within 2 days of the turn — the "stale feature
 # vectors must not backfill" guard (asof_join tolerance; SQL = ASOF match
@@ -1128,104 +1016,6 @@ FROM t ASOF LEFT JOIN daily d ON t.conv_id = d.conv_id AND t.ts > d.sts
 
 QUERIES["asof_tolerance"] = q_asof_tolerance
 ORACLES["asof_tolerance"] = SQL_ASOF_TOLERANCE
-
-
-# ---------------------------------------------------------------------------
-# Set operations (INTERSECT / EXCEPT) — absent in the reference (SURVEY
-# §2.7 O5), added for completeness: conversations active on the corpus's
-# first day intersected with / minus those active on the following day.
-# Shape: per-batch distinct (conv, which-day) flags pruned to the two days
-# -> one conv shuffle -> per-conv boolean algebra. The global first day is
-# a bounded partial-min fold, never a driver full read.
-# ---------------------------------------------------------------------------
-def q_set_ops_convs(sf_dir: str):
-    ts = transcripts_from_events(sf_dir)
-
-    day_min = ts.map_batches(
-        lambda df: pd.DataFrame({"d": [df["ts"].astype("datetime64[us]").dt.floor("D").min()]}),
-        batch_format="pandas",
-    ).to_pandas()["d"].min()  # bounded: one row per block
-    d1 = pd.Timestamp(day_min)
-    d2 = d1 + pd.Timedelta(days=1)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = df["ts"].astype("datetime64[us]").dt.floor("D")
-        sel = df.loc[day.isin([d1, d2]), ["conv_id"]].assign(on_d1=(day == d1)[day.isin([d1, d2])])
-        return sel.drop_duplicates()
-
-    def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
-        # a conv appears with on_d1 True (active d1) and/or False (active d2)
-        active_d1 = g[g["on_d1"]].groupby("conv_id").size()
-        active_d2 = g[~g["on_d1"]].groupby("conv_id").size()
-        s1, s2 = set(active_d1.index), set(active_d2.index)
-        inter = sorted(s1 & s2)
-        exc = sorted(s1 - s2)
-        return pd.DataFrame(
-            {
-                "op": ["intersect"] * len(inter) + ["except"] * len(exc),
-                "conv_id": inter + exc,
-            }
-        )
-
-    partials = ts.map_batches(partial, batch_format="pandas")
-    return map_conv_buckets(partials, bucket_fn, key="conv_id",
-                            sort_cols=["conv_id"], num_buckets=16)
-
-
-SQL_SET_OPS_CONVS = f"""{_T},
-d0 AS (SELECT MIN(date_trunc('day', ts)) AS d1 FROM t),
-a1 AS (SELECT DISTINCT conv_id FROM t, d0 WHERE date_trunc('day', ts) = d1),
-a2 AS (SELECT DISTINCT conv_id FROM t, d0 WHERE date_trunc('day', ts) = d1 + INTERVAL 1 DAY)
-SELECT 'intersect' AS op, conv_id FROM (SELECT conv_id FROM a1 INTERSECT SELECT conv_id FROM a2)
-UNION ALL
-SELECT 'except' AS op, conv_id FROM (SELECT conv_id FROM a1 EXCEPT SELECT conv_id FROM a2)
-"""
-
-QUERIES["set_ops_convs"] = q_set_ops_convs
-ORACLES["set_ops_convs"] = SQL_SET_OPS_CONVS
-
-
-# ---------------------------------------------------------------------------
-# Expanding distinct count: number of DISTINCT tools the conversation has
-# used up to and including each turn. Vectorized first-occurrence flags
-# (duplicated()) + per-conv cumsum; SQL mirrors with the ROW_NUMBER()=1
-# first-occurrence trick (COUNT(DISTINCT) OVER is unsupported in DuckDB).
-# ---------------------------------------------------------------------------
-def q_expanding_distinct(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq", "tool"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        first = (~g.duplicated(["conv_id", "tool"])) & g["tool"].notna()
-        n_dist = first.groupby(g["conv_id"].to_numpy(), sort=False).cumsum()
-        return pd.DataFrame(
-            {
-                "conv_id": g["conv_id"],
-                "turn_idx": g.groupby("conv_id", sort=False).cumcount().astype("int32"),
-                "n_distinct_tools": n_dist.to_numpy(np.int64),
-            }
-        )
-
-    return map_conv_buckets(pruned, kern, key="conv_id", sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_EXPANDING_DISTINCT = f"""{_T},
-f AS (
-  SELECT conv_id, turn_idx, ts, _seq,
-         CASE WHEN tool IS NOT NULL
-                   AND ROW_NUMBER() OVER (PARTITION BY conv_id, tool ORDER BY ts, _seq) = 1
-              THEN 1 ELSE 0 END AS first_occ
-  FROM t
-)
-SELECT conv_id, turn_idx,
-       CAST(SUM(first_occ) OVER ({_W} ROWS UNBOUNDED PRECEDING) AS BIGINT)
-         AS n_distinct_tools
-FROM f
-"""
-
-QUERIES["w_expanding_distinct"] = q_expanding_distinct
-ORACLES["w_expanding_distinct"] = SQL_EXPANDING_DISTINCT
 
 
 # ---------------------------------------------------------------------------
@@ -1349,61 +1139,6 @@ ORACLES["w_lag_k"] = SQL_LAG_K
 
 
 # ---------------------------------------------------------------------------
-# assistant response latency — per non-assistant turn, seconds until the
-# NEXT assistant turn in the same conversation (NULL when none follows):
-# the dialogue-quality metric every conversational corpus pipeline reports.
-# Forward-looking by design (a LABEL, like w_lead_label — excluded from the
-# leakage contract by name). Engine: one REVERSED masked cummin of the
-# assistant timestamps per conversation — no per-row loops, no join.
-# ---------------------------------------------------------------------------
-def q_response_latency(sf_dir: str):
-    ts = _prune(transcripts_from_events(sf_dir), ["conv_id", "ts", "_seq", "role"])
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("conv_id", sort=False)
-        t_us = df["ts"].astype("datetime64[us]").astype("int64")
-        # +inf (not NaN) as the mask filler: pandas cummin emits NaN AT NaN
-        # positions instead of carrying the running min through them
-        at = t_us.where(df["role"].to_numpy() == "assistant").fillna(np.inf)
-        # next assistant ts at or after each row = reversed cummin of the
-        # masked series; shift(-1) within the group makes it STRICTLY after
-        nxt = (
-            at.iloc[::-1].groupby(df["conv_id"].iloc[::-1], sort=False)
-            .cummin().iloc[::-1]
-        )
-        nxt = nxt.groupby(df["conv_id"], sort=False).shift(-1)
-        nv = nxt.to_numpy()
-        nv = np.where(np.isinf(nv), np.nan, nv)
-        lat = (nv - t_us.to_numpy()) / 1e6
-        return pd.DataFrame(
-            {"conv_id": df["conv_id"],
-             "turn_idx": g.cumcount().astype("int32"),
-             "role": df["role"],
-             "latency_s": round_half_away(lat, 6)}
-        )
-
-    return map_conv_buckets(ts, bucket_fn)
-
-
-# careful: engine divides the µs delta by 1e6 ONCE; the SQL mirrors with
-# (epoch_us(next) - epoch_us(ts)) / 1000000.0 — identical single division
-SQL_RESPONSE_LATENCY = f"""{_T},
-n AS (
-  SELECT conv_id, turn_idx, role, epoch_us(ts) AS t_us,
-         MIN(CASE WHEN role = 'assistant' THEN epoch_us(ts) END) OVER
-           ({_W} ROWS BETWEEN 1 FOLLOWING AND UNBOUNDED FOLLOWING) AS nxt_us
-  FROM t
-)
-SELECT conv_id, turn_idx, role,
-       ROUND((nxt_us - t_us) / 1000000.0, 6) AS latency_s
-FROM n
-"""
-
-QUERIES["w_response_latency"] = q_response_latency
-ORACLES["w_response_latency"] = SQL_RESPONSE_LATENCY
-
-
-# ---------------------------------------------------------------------------
 # collect_set: the sorted distinct tools each conversation used, as one
 # canonical comma-joined string (array_agg(DISTINCT .. ORDER BY ..)) plus
 # the distinct count — the "entity capability set" rollup. Per-batch
@@ -1447,7 +1182,7 @@ ORACLES["agg_tool_set"] = SQL_TOOL_SET
 # sessionized funnel — per session: seconds from session start to the
 # FIRST tool turn (NULL when the session never reaches a tool), plus the
 # number of turns before it. The time-to-conversion composite of the
-# sessionization machinery (session_stats) and a conditional MIN; µs
+# gap-based sessionization (as in w_session) and a conditional MIN; µs
 # integers end-to-end, one division, same single conv shuffle.
 # ---------------------------------------------------------------------------
 def q_session_funnel(sf_dir: str):
@@ -1568,211 +1303,6 @@ FROM r
 
 QUERIES["split_convs"] = q_split_convs
 ORACLES["split_convs"] = SQL_SPLIT_CONVS
-
-
-# ---------------------------------------------------------------------------
-# ---------------------------------------------------------------------------
-# Late-arrival audit: per conversation, how many events arrived (by _seq,
-# the physical ingestion order) with a timestamp BEHIND the running
-# event-time maximum, and how far behind at worst — the out-of-orderness
-# profile that sizes streaming watermarks (the window kernel's carried
-# watermark guard is exactly this bound). Kernel: one vectorized running
-# max over arrival order inside the conversation bucket; lateness in
-# exact integer MICROseconds (epoch-seconds doubles would round
-# differently across engines).
-# ---------------------------------------------------------------------------
-def q_late_events(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "_seq"], kind="mergesort").reset_index(drop=True)
-        codes = pd.factorize(g["conv_id"])[0]
-        t = g["ts"].astype("datetime64[us]")
-        cmax = t.groupby(codes, sort=False).cummax()
-        prior = cmax.shift()
-        prior[np.concatenate([[True], codes[1:] != codes[:-1]])] = pd.NaT
-        late = t < prior
-        lateness = ((prior - t).dt.total_seconds() * 1e6).round()
-        d = pd.DataFrame({"conv_id": g["conv_id"], "late": late.astype(np.int64),
-                          "lus": np.where(late, lateness, np.nan)})
-        out = d.groupby("conv_id", as_index=False).agg(
-            n_events=("late", "size"), n_late=("late", "sum"),
-            max_lateness_us=("lus", "max"),
-        )
-        out["n_events"] = out["n_events"].astype("int64")
-        out["n_late"] = out["n_late"].astype("int64")
-        out["max_lateness_us"] = out["max_lateness_us"].fillna(0).astype("int64")
-        return out
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "_seq"])
-
-
-SQL_LATE_EVENTS = f"""{_T},
-x AS (
-  SELECT conv_id, ts,
-         MAX(ts) OVER (PARTITION BY conv_id ORDER BY _seq
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS prior_max
-  FROM t
-)
-SELECT conv_id, COUNT(*) AS n_events,
-       CAST(SUM(CASE WHEN ts < prior_max THEN 1 ELSE 0 END) AS BIGINT) AS n_late,
-       CAST(COALESCE(MAX(CASE WHEN ts < prior_max
-                          THEN date_diff('microsecond', ts, prior_max) END), 0)
-            AS BIGINT) AS max_lateness_us
-FROM x GROUP BY conv_id
-"""
-
-QUERIES["w_late_events"] = q_late_events
-ORACLES["w_late_events"] = SQL_LATE_EVENTS
-
-
-# ---------------------------------------------------------------------------
-# Leave-one-out target encoding per (day, role): each turn's encoding is
-# the mean value of all OTHER same-day same-role turns — the classic
-# leakage-safe categorical encoder (plain group-mean encoding leaks the
-# row's own target; LOO subtracts it: (S - x_i) / (N - 1), NULL for
-# singleton groups). Scale shape: the (day, role) stats table is BOUNDED
-# (days x 3 roles), so it reduces via per-batch integer-cent partials to
-# a tiny driver merge, broadcasts once through the object store, and the
-# encode pass is a SHUFFLE-FREE map — the group-stats-join-back pattern
-# done without a join.
-# ---------------------------------------------------------------------------
-def q_target_encode(sf_dir: str):
-    import ray as _ray
-    from nfl_feature_store_ray.functions.broadcast import cached_object_get
-
-    ts = transcripts_from_events(sf_dir)
-    pruned = _prune(ts, ["conv_id", "ts", "_seq", "role", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # NULL-masked cents (r03 ADVICE): sc skips NULL values like SQL SUM
-        # while n stays COUNT(*); a NULL row's own encoding goes NaN in the
-        # encode pass anyway (sc - NaN), matching the oracle's NULL.
-        v = df["value"].to_numpy(dtype="float64")
-        m = ~np.isnan(v)
-        d = pd.DataFrame(
-            {"day": df["ts"].astype("datetime64[us]").dt.floor("D"),
-             "role": df["role"],
-             "xc": np.where(m, np.rint(v * 100.0), 0.0).astype(np.int64)}
-        )
-        return d.groupby(["day", "role"], as_index=False).agg(
-            sc=("xc", "sum"), n=("xc", "size")
-        )
-
-    parts = pruned.map_batches(partial, batch_format="pandas").to_pandas()
-    if parts.empty:  # zero-block Dataset loses columns; rebuild the schema
-        parts = pd.DataFrame({"day": pd.Series([], dtype="datetime64[us]"),
-                              "role": pd.Series([], dtype=object),
-                              "sc": pd.Series([], dtype="int64"),
-                              "n": pd.Series([], dtype="int64")})
-    stats = parts.groupby(["day", "role"], as_index=False).agg(
-        sc=("sc", "sum"), n=("n", "sum")
-    )
-    stats_ref = _ray.put(stats.set_index(["day", "role"]))
-
-    def encode(df: pd.DataFrame) -> pd.DataFrame:
-        st = cached_object_get(stats_ref)
-        day = df["ts"].astype("datetime64[us]").dt.floor("D")
-        key = pd.MultiIndex.from_arrays([day, df["role"]])
-        sc = st["sc"].reindex(key).to_numpy(np.float64)
-        n = st["n"].reindex(key).to_numpy(np.float64)
-        xc = np.rint(df["value"].to_numpy() * 100.0)
-        loo = np.where(n > 1,
-                       round_half_away((sc - xc) / (100.0 * (n - 1)), 6), np.nan)
-        return pd.DataFrame(
-            {"conv_id": df["conv_id"], "_seq": df["_seq"],
-             "loo_role_day_mean": loo}
-        )
-
-    return pruned.map_batches(encode, batch_format="pandas")
-
-
-SQL_TARGET_ENCODE = f"""{_T},
-s AS (
-  SELECT date_trunc('day', ts) AS day, role,
-         SUM(ROUND(value * 100)) AS sc, COUNT(*) AS n
-  FROM t GROUP BY 1, 2
-)
-SELECT t.conv_id, t._seq,
-       CASE WHEN s.n > 1
-            THEN ROUND((s.sc - ROUND(t.value * 100)) / (100.0 * (s.n - 1)), 6)
-       END AS loo_role_day_mean
-FROM t JOIN s ON date_trunc('day', t.ts) = s.day AND t.role = s.role
-"""
-
-QUERIES["target_encode"] = q_target_encode
-ORACLES["target_encode"] = SQL_TARGET_ENCODE
-
-
-# ---------------------------------------------------------------------------
-# Inter-arrival (burstiness) profile per conversation — the cadence
-# features beside W7's per-turn gap: gap count, exact mean gap, max gap,
-# and how many gaps exceed the session threshold. All integer-microsecond
-# arithmetic (sums bounded by span x rows, far inside int64), ONE
-# conv-keyed shuffle of 4-int partials: consecutive gaps need adjacent
-# rows, so the partial ships each batch's per-conv (sum, max, n, n_long)
-# plus its boundary timestamps — but simplest exact shape at this grain
-# is the in-bucket pass over whole conversations, which the conv spine
-# already provides.
-# ---------------------------------------------------------------------------
-GAP_LONG_S = SESSION_GAP_S
-
-
-def q_gap_profile(sf_dir: str):
-    ts_ds = transcripts_from_events(sf_dir)
-    pruned = _prune(ts_ds, ["conv_id", "ts", "_seq"])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "ts", "_seq"], kind="mergesort").reset_index(drop=True)
-        us = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        codes = pd.factorize(g["conv_id"])[0]
-        same = np.concatenate([[False], codes[1:] == codes[:-1]])
-        d = pd.DataFrame(
-            {"conv_id": g["conv_id"][same],
-             "gap_us": (us - np.roll(us, 1))[same]}
-        )
-        out = d.groupby("conv_id", as_index=False).agg(
-            n_gaps=("gap_us", "size"),
-            _sum=("gap_us", "sum"),
-            _max=("gap_us", "max"),
-            n_long=("gap_us", lambda s: int((s > GAP_LONG_S * 1_000_000).sum())),
-        )
-        res = pd.DataFrame(
-            {"conv_id": out["conv_id"],
-             "n_gaps": out["n_gaps"].astype("int64"),
-             "mean_gap_s": round_half_away(
-                 out["_sum"].to_numpy(np.float64)
-                 / (1e6 * out["n_gaps"].to_numpy(np.float64)), 6),
-             "max_gap_s": round_half_away(out["_max"].to_numpy(np.float64) / 1e6, 6),
-             "n_long": out["n_long"].astype("int64")}
-        )
-        return res
-
-    return map_conv_buckets(pruned, kern, key="conv_id",
-                            sort_cols=["conv_id", "ts", "_seq"])
-
-
-SQL_GAP_PROFILE = f"""{_T},
-g AS (
-  SELECT conv_id,
-         epoch_us(ts) - epoch_us(LAG(ts) OVER ({_W})) AS gap_us
-  FROM t
-)
-SELECT conv_id,
-       COUNT(gap_us) AS n_gaps,
-       ROUND(SUM(gap_us) / (1e6 * COUNT(gap_us)), 6) AS mean_gap_s,
-       ROUND(MAX(gap_us) / 1e6, 6) AS max_gap_s,
-       CAST(COUNT(*) FILTER (WHERE gap_us > {GAP_LONG_S * 1_000_000}) AS BIGINT)
-         AS n_long
-FROM g GROUP BY conv_id
-HAVING COUNT(gap_us) > 0
-"""
-
-QUERIES["agg_gap_profile"] = q_gap_profile
-ORACLES["agg_gap_profile"] = SQL_GAP_PROFILE
 
 
 def q_chained_subrange(sf_dir: str):

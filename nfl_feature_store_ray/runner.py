@@ -57,18 +57,15 @@ def _turn_window_features_wide(sf_dir: str):
     return wide_features(sf_dir)
 
 
-# name -> (builder, partition key); fingerprint_cols=None => hash EVERY
-# column, so value changes without key changes still invalidate partitions
-FEATURE_STORE_METAS = [
-    {"name": "turn_window_features", "builder": _turn_window_features,
-     "key": "conv_id", "fingerprint_cols": None},
-    {"name": "conv_career", "builder": _conv_career,
-     "key": "conv_id", "fingerprint_cols": None},
-    {"name": "event_day_pivot", "builder": _event_day_pivot,
-     "key": "conv_id", "fingerprint_cols": None},
-    {"name": "turn_window_features_wide", "builder": _turn_window_features_wide,
-     "key": "conv_id", "fingerprint_cols": None},
-]
+# store name -> builder; every store partitions by conv_id, and each commit
+# fingerprints every column, so a value change without a key change still
+# invalidates its partition
+FEATURE_STORE_METAS = {
+    "turn_window_features": _turn_window_features,
+    "conv_career": _conv_career,
+    "event_day_pivot": _event_day_pivot,
+    "turn_window_features_wide": _turn_window_features_wide,
+}
 
 
 def run_stores(sf_dir: str, out_root: str, stores: list[str] | None = None,
@@ -77,19 +74,16 @@ def run_stores(sf_dir: str, out_root: str, stores: list[str] | None = None,
     from nfl_feature_store_ray.state.manifest import write_partitioned
 
     results = []
-    for meta in FEATURE_STORE_METAS:
-        if stores and meta["name"] not in stores:
+    for name, builder in FEATURE_STORE_METAS.items():
+        if stores and name not in stores:
             continue
         t0 = time.perf_counter()
-        ds = meta["builder"](sf_dir)
-        out_dir = os.path.join(out_root, meta["name"])
-        man = write_partitioned(
-            ds, out_dir, key=meta["key"], num_buckets=num_buckets,
-            fingerprint_cols=meta["fingerprint_cols"],
-        )
+        ds = builder(sf_dir)
+        out_dir = os.path.join(out_root, name)
+        man = write_partitioned(ds, out_dir, num_buckets=num_buckets)
         results.append(
             {
-                "store": meta["name"],
+                "store": name,
                 "out": out_dir,
                 "partitions": int(len(man)),
                 "skipped": int(man["skipped"].sum()),

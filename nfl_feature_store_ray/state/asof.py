@@ -52,6 +52,7 @@ from nfl_feature_store_ray.state.window_kernel_pl import _pl
 _SIDE_COL = "_asof_side"  # 0 left, 1 right, 2 the broadcast path's sentinel
 _SENTINEL = 2
 _ROW = "_asof_row"
+_SUFFIX = "_r"  # renames right value columns that collide with left columns
 
 
 def _arrow_types(ds: ray.data.Dataset) -> dict:
@@ -90,7 +91,6 @@ def asof_join(
     on: str = "ts",
     allow_exact_matches: bool = False,
     num_buckets: int | None = None,
-    suffix: str = "_r",
     tolerance=None,
 ) -> ray.data.Dataset:
     """Sorted-merge backward as-of join: a left row at t gets the latest
@@ -104,7 +104,8 @@ def asof_join(
     farther than the tolerance gets nulls — the "stale feature vectors
     don't backfill" guard rail.
 
-    Right-side value columns that collide with left columns get ``suffix``.
+    Right-side value columns that collide with left columns get the suffix
+    ``_r``.
     Every column keeps its input Arrow type; unmatched rows get nulls. A
     null ``on`` value on either side raises ``ValueError``.
 
@@ -127,7 +128,7 @@ def asof_join(
     left_types = _arrow_types(left)
     right_types = _arrow_types(right)
     left_cols = list(left_types)
-    rename = {c: c + suffix for c in (set(left_cols) & set(right_types)) - {key, on}}
+    rename = {c: c + _SUFFIX for c in (set(left_cols) & set(right_types)) - {key, on}}
     right_vals = {rename.get(c, c): t for c, t in right_types.items() if c not in (key, on)}
     right_out = list(right_vals)
     out_types = {**left_types, **right_vals}

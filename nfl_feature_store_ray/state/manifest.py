@@ -79,7 +79,6 @@ def partitioned_commit(
     key: str = "conv_id",
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     transform=None,
-    fingerprint_cols: list[str] | None = None,
 ) -> ray.data.Dataset:
     """Lazy partition-commit stage: partition ``ds`` by hash(key), apply
     ``transform`` per partition, write each partition + manifest
@@ -144,12 +143,10 @@ def partitioned_commit(
         starts = np.flatnonzero(np.diff(buckets, prepend=-1))
         ends = np.r_[starts[1:], len(buckets)]
         block = block.drop_columns([BUCKET_COL])
-        # default: fingerprint EVERY column — a value change without a key
-        # change must invalidate the partition ("pure function of the
-        # input"); pass fingerprint_cols only when a cheaper column subset
-        # provably determines the output
+        # fingerprint EVERY column: a value change without a key change
+        # must invalidate the partition ("pure function of the input")
         t0 = time.perf_counter()
-        hashes = _row_hashes(block, fingerprint_cols or block.column_names)
+        hashes = _row_hashes(block, block.column_names)
         row_s = (time.perf_counter() - t0) / max(len(hashes), 1)
         sums = np.add.reduceat(hashes, starts)
         return pa.Table.from_pylist([
@@ -168,7 +165,6 @@ def write_partitioned(
     key: str = "conv_id",
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     transform=None,
-    fingerprint_cols: list[str] | None = None,
 ) -> pd.DataFrame:
     """Eager wrapper over ``partitioned_commit`` (same ``pa.Table ->
     pa.Table`` ``transform`` contract): runs the commit and returns the
@@ -177,7 +173,6 @@ def write_partitioned(
     input)."""
     manifests = partitioned_commit(
         ds, out_dir, key=key, num_buckets=num_buckets, transform=transform,
-        fingerprint_cols=fingerprint_cols,
     ).to_pandas()
     if manifests.empty:
         manifests = pd.DataFrame(columns=MANIFEST_COLUMNS)

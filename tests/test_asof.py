@@ -156,11 +156,11 @@ def test_asof_suffix_renames_colliding_right_columns():
     events, feats = _frames()
     left = events.assign(feat=-1.0)
     out = asof_join(
-        rd.from_pandas(left), rd.from_pandas(feats), num_buckets=4, suffix="_right"
+        rd.from_pandas(left), rd.from_pandas(feats), num_buckets=4
     ).to_pandas()
-    expected = _pandas_asof(left, feats, allow_exact_matches=False, suffixes=("", "_right"))
-    assert list(out.columns) == ["conv_id", "ts", "ev", "feat", "feat_right"]
-    _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat", "feat_right"])
+    expected = _pandas_asof(left, feats, allow_exact_matches=False, suffixes=("", "_r"))
+    assert list(out.columns) == ["conv_id", "ts", "ev", "feat", "feat_r"]
+    _assert_matches_pandas(out, expected, ["conv_id", "ts", "ev"], ["feat", "feat_r"])
 
 
 def test_asof_right_rows_sharing_a_ts():

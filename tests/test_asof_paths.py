@@ -32,12 +32,13 @@ def _sides():
     {"allow_exact_matches": False},
     {"allow_exact_matches": True},
     {"tolerance": pd.Timedelta(hours=6)},
-    {"suffix": "_right", "collide": True},
+    {"collide": True},  # a colliding right column gets the suffix _r
 ], ids=["strict", "exact", "tolerance", "suffix"])
 def test_asof_broadcast_matches_exchange(kw):
     kw = dict(kw)
     events, right = _sides()
-    if kw.pop("collide", False):
+    collide = kw.pop("collide", False)
+    if collide:
         events = events.assign(feat=-1.0)
     out = {}
     for path, limit in (("broadcast", None), ("exchange", EXCHANGE_BLOCK_LIMIT)):
@@ -48,6 +49,6 @@ def test_asof_broadcast_matches_exchange(kw):
             ds.iter_batches(batch_size=None, batch_format="pyarrow")).sort_by(KEY)
     assert out["broadcast"].num_rows == len(events)
     assert out["broadcast"].equals(out["exchange"])
-    feat = out["broadcast"].column("feat_right" if "suffix" in kw else "feat")
+    feat = out["broadcast"].column("feat_r" if collide else "feat")
     assert 0 < feat.null_count < len(feat)
     assert pc.min(feat).as_py() >= 10.0  # the later copy won

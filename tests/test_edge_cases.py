@@ -191,38 +191,3 @@ def test_ewma_oracle_no_overflow_on_long_conversation(tmp_path):
                 rtol=1e-6, atol=1e-9, equal_nan=True, err_msg=c,
             )
 
-
-def test_late_events_planted_out_of_order(tmp_path, ray_session):
-    """The shipped events are arrival-ordered (n_late = 0 everywhere), so
-    this plants genuine out-of-orderness: user 1's third-arriving event
-    (by event_id) is 90s behind the running max, the fourth 30s behind.
-    Pins counts and exact microsecond lateness, plus the oracle match."""
-    import duckdb
-
-    base = pd.Timestamp("2024-03-01")
-    ev = pd.DataFrame(
-        {"event_id": [0, 1, 2, 3, 4, 10, 11],
-         "ts": [base, base + pd.Timedelta(seconds=100),
-                base + pd.Timedelta(seconds=10),    # 90s late
-                base + pd.Timedelta(seconds=70),    # 30s late
-                base + pd.Timedelta(seconds=200),
-                base, base + pd.Timedelta(seconds=5)],  # user 2: in order
-         "user_id": [1, 1, 1, 1, 1, 2, 2],
-         "event_type": "click", "value": 1.0, "props": "{}"}
-    )
-    ev["ts"] = ev["ts"].astype("datetime64[us]")
-    d = tmp_path / "late"
-    d.mkdir()
-    ev.to_parquet(d / "events.parquet", index=False)
-    import __ray_entry__ as e
-
-    r = e.queries()["w_late_events"](str(d))
-    r = (r.to_pandas() if not isinstance(r, pd.DataFrame) else r).sort_values(
-        "conv_id").reset_index(drop=True)
-    assert r["n_late"].tolist() == [2, 0]
-    assert r["max_lateness_us"].tolist() == [90_000_000, 0]
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')")
-    s = con.execute(e.oracle_sql()["w_late_events"]).df().sort_values(
-        "conv_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(r, s[r.columns.tolist()], check_dtype=False)

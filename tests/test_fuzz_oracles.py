@@ -27,16 +27,12 @@ EVENT_QUERIES = [
     "w_lag_gap", "w_rolling", "w_session_avg", "w_rank_composite",
     "w_densify_seeded", "w_asof_checkpoint", "w_phase_windows", "wide_slice",
     "w_label_split",
-    "session_stats", "resume_manifest", "w_rolling_streaming",
+    "resume_manifest", "w_rolling_streaming",
     "w_incremental_append", "parse_props", "pair_join", "agg_career",
-    "role_transitions",
     "asof_tolerance",
-    "w_expanding_distinct", "set_ops_convs", "w_first_value", "w_lag_k",
-    "w_response_latency",
+    "w_first_value", "w_lag_k",
     "agg_tool_set", "w_session_funnel", "split_convs",
-    "w_late_events",
-    "target_encode",
-    "agg_gap_profile", "w_chained_subrange",
+    "w_chained_subrange",
 ]
 
 
@@ -116,24 +112,19 @@ NULL_EVENTS_FUZZ_DIR = "/tmp/nfl_fs_fuzz_nullval_test"
 
 NULL_VALUE_QUERIES = [
     "w_rank_day", "w_rank_composite",
-    "target_encode", "session_stats", "w_first_value", "w_lag_k",
+    "w_first_value", "w_lag_k",
     # verified NULL-clean by the round-4 full-registry sweep (value NULLs
     # never reach an int cast / their pandas kernels already share SQL's
     # NULL-skip semantics)
     "w_lag_gap", "w_rolling", "w_label_split",
     "resume_manifest", "parse_props",
-    "role_transitions",
-    "w_expanding_distinct", "set_ops_convs",
-    "w_response_latency",
     "agg_tool_set", "w_session_funnel", "split_convs",
-    "w_late_events",
     # all-NULL-group semantics fixed in round 4 (min_count=1 partials /
     # nn counters; SQL SUM -> NULL preserved through carry/as-of/ranking)
     "w_densify", "w_densify_seeded",
     "pair_join", "agg_career", "topk_convs",
     "asof_tolerance", "asof_daily",
     "w_asof_checkpoint",
-    "agg_gap_profile",
     # round 5: the flagship expanding/EWMA/session window kernels now skip
     # NULLs like SQL AVG/SUM (pandas + polars + streaming paths, see
     # PARITY.md "Round-5 NULL-value window semantics")
@@ -206,8 +197,8 @@ def test_null_value_fuzz_query_matches_oracle(name, null_events_fuzz_dir):
         # pandas reads NaN and NULL alike, so count NaNs in Arrow first
         # (Ray turns a pandas batch's NaN into NULL on the way to Arrow, so
         # a NaN here comes from an Arrow-native stage). Queries that return
-        # a pandas frame (topk_convs, role_transitions) cannot tell the two
-        # apart and skip this.
+        # a pandas frame (topk_convs) cannot tell the two apart and skip
+        # this.
         r = r.materialize()
         got = _nan_counts(r.iter_batches(batch_size=None, batch_format="pyarrow"))
         want = _nan_counts(con.execute(e.oracle_sql()[name]).arrow().to_batches())

@@ -65,7 +65,7 @@ def test_giant_conversation_streaming_matches_batch_kernel():
     shutil.rmtree(PART_DIR, ignore_errors=True)
     ingest_partitioned_with_transform(
         rd.from_pandas(df), PART_DIR, transform=sort_partition,
-        num_buckets=4, fingerprint_cols=["conv_id", "turn_idx"],
+        num_buckets=4,
     )
 
     got = (

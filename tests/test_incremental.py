@@ -30,7 +30,6 @@ def _ingest(df: pd.DataFrame):
     ingest_partitioned_with_transform(
         rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False)), PART,
         transform=sort_partition, num_buckets=6,
-        fingerprint_cols=["conv_id", "turn_idx"],
     )
 
 
@@ -102,7 +101,6 @@ def test_incremental_rejects_changed_partition_count():
     ingest_partitioned_with_transform(
         rd.from_arrow(pa.Table.from_pandas(tbl, preserve_index=False)), PART,
         transform=sort_partition, num_buckets=3,  # changed bucket count
-        fingerprint_cols=["conv_id", "turn_idx"],
     )
     with pytest.raises(ValueError, match="partition name set"):
         window_features_incremental(PART, STATE, metrics=METRICS).count()

@@ -118,7 +118,7 @@ def _incremental(tbl):
     outs = []
     for rows in (tbl.filter(pc.less_equal(tbl["ts"].cast(pa.int64()), cut)), tbl):
         ingest_partitioned_with_transform(rd.from_arrow(rows), PART, transform=sort_partition,
-                                          num_buckets=4, fingerprint_cols=["conv_id", "turn_idx"])
+                                          num_buckets=4)
         outs.append(window_features_incremental(PART, STATE, metrics=("value", "text_len"),
                                                 phases=PHASES).materialize())
     return outs[0].union(outs[1])

@@ -35,7 +35,8 @@ def _dtype_class(dt) -> str:
     """Coarse dtype class mirroring the driver's typed value-hash: an int64
     engine column vs a float64 oracle column (e.g. an uncast DuckDB
     SUM(int) -> HUGEINT -> float64) must FAIL here, not only at the driver
-    (r03 verdict #2: session_stats reached the driver before any local gate)."""
+    (r03 verdict #2: a per-session rollup query, since deleted, reached the
+    driver before any local gate)."""
     k = getattr(dt, "kind", "O")
     if k in "iu":
         return "int"

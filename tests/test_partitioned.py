@@ -28,7 +28,6 @@ def test_partitioned_equals_shuffled():
     shutil.rmtree(PART_DIR, ignore_errors=True)
     man = ingest_partitioned_with_transform(
         ds, PART_DIR, transform=sort_partition, num_buckets=8,
-        fingerprint_cols=["conv_id", "turn_idx"],
     )
     assert len(man) <= 8 and man["rows_in"].sum() == tbl.num_rows
 

@@ -75,7 +75,7 @@ def test_streaming_finishes_on_one_cpu_and_matches_batch_engine():
     shutil.rmtree(OUT, ignore_errors=True)
     ingest_partitioned_with_transform(
         rd.from_arrow(tbl), PART_DIR, transform=sort_partition,
-        num_buckets=4, fingerprint_cols=["conv_id", "turn_idx"],
+        num_buckets=4,
     )
 
     run_one_cpu(CHILD, "streaming job")

@@ -23,7 +23,7 @@ def test_streaming_pipeline_matches_batch_engine():
     shutil.rmtree(PART_DIR, ignore_errors=True)
     ingest_partitioned_with_transform(
         rd.from_arrow(tbl), PART_DIR, transform=sort_partition,
-        num_buckets=6, fingerprint_cols=["conv_id", "turn_idx"],
+        num_buckets=6,
     )
 
     got = (
